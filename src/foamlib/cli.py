@@ -122,7 +122,6 @@ def cmd_verify(args, report: RunReport):
         diagram = sylfoam.diagram_sylvester(A, B, p, q)
         agrees = sylfoam.overlap_matches_polynomial(
             diagram, lambda: sylfoam.sylvester_terms(A, B, p, q),
-            per_var_bound=args.m + args.n + 1,
         )
         report.add("foam_matches_formula", agrees)
     elif args.identity == "exchange":
@@ -384,6 +383,24 @@ def cmd_suite(args, report: RunReport):
 # entry point
 
 
+def _size(text: str) -> int:
+    """argparse type of alphabet sizes and indices: a nonnegative int."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
+# Options that only one action needs: (command, action) -> option.
+_NEEDED = {("mf", "trace"): "p", ("web", "decompose"): "f"}
+
+
+def _check_needed(ap: argparse.ArgumentParser, args) -> None:
+    need = _NEEDED.get((args.command, getattr(args, "action", None)))
+    if need is not None and getattr(args, need) is None:
+        ap.error(f"{args.command} {args.action} needs --{need}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="foamlib",
@@ -406,13 +423,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="polynomial identity verifiers")
     p_ver.add_argument("identity",
                        choices=["sylvester", "exchange", "chenlouck", "dksv"])
-    p_ver.add_argument("--m", type=int, default=2)
-    p_ver.add_argument("--n", type=int, default=2)
-    p_ver.add_argument("--p", type=int, default=None)
-    p_ver.add_argument("--q", type=int, default=None)
-    p_ver.add_argument("--d", type=int, default=1)
-    p_ver.add_argument("--size-x", type=int, default=1)
-    p_ver.add_argument("--size-e", type=int, default=3)
+    p_ver.add_argument("--m", type=_size, default=2)
+    p_ver.add_argument("--n", type=_size, default=2)
+    p_ver.add_argument("--p", type=_size, default=None)
+    p_ver.add_argument("--q", type=_size, default=None)
+    p_ver.add_argument("--d", type=_size, default=1)
+    p_ver.add_argument("--size-x", type=_size, default=1)
+    p_ver.add_argument("--size-e", type=_size, default=3)
     p_ver.add_argument("--f", help="symmetric dot polynomial in slots s1..sk")
     p_ver.add_argument("--mode", choices=["symbolic", "grid", "random"],
                        default="symbolic")
@@ -427,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_wr = sub.add_parser("wreath", help="iterated wreath product checks")
     p_wr.add_argument("action", choices=["facts", "classes", "d4-table", "oor"])
-    p_wr.add_argument("-n", type=int, default=2)
+    p_wr.add_argument("-n", type=_size, default=2)
 
     p_web = sub.add_parser("web", help="theta-web invariants")
     p_web.add_argument("action", choices=["qmoy", "decompose"])
@@ -456,6 +473,7 @@ def run(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
+        _check_needed(ap, args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     payload = {k: v for k, v in vars(args).items() if k != "json"}

@@ -207,16 +207,28 @@ class MultiPoly:
     # -- substitution -----------------------------------------------------
 
     def eval(self, assignment: Mapping[str, Fraction]) -> Fraction:
-        """Exact full evaluation; every variable must be assigned."""
-        total = Fraction(0)
+        """Exact full evaluation; every variable must be assigned.
+
+        Each power v^e is built once per call; int values stay ints until
+        the final Fraction.
+        """
+        powers: dict[tuple[str, int], object] = {}
+        total = 0
         for m, c in self.terms.items():
             acc = c
-            for v, e in m:
-                if v not in assignment:
-                    raise KeyError(f"variable {v!r} not assigned")
-                acc *= Fraction(assignment[v]) ** e
+            for ve in m:
+                pw = powers.get(ve)
+                if pw is None:
+                    v, e = ve
+                    if v not in assignment:
+                        raise KeyError(f"variable {v!r} not assigned")
+                    x = assignment[v]
+                    if not isinstance(x, (int, Fraction)):
+                        x = Fraction(x)
+                    pw = powers[ve] = x ** e
+                acc *= pw
             total += acc
-        return total
+        return Fraction(total)
 
     def subs_vars(self, mapping: Mapping[str, str]) -> "MultiPoly":
         """Rename variables (used to plug color sets into dot polynomials)."""

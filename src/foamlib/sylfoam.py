@@ -27,12 +27,15 @@ Petal dots are symmetric polynomials written in slot variables s1..sk;
 symmetry is validated on adjacent transpositions.
 
 Identity verifiers run in three modes.  "symbolic" expands both sides
-exactly (a proof).  "grid" evaluates both sides along deterministic
-parametric lines: variable i takes value 1 + i*(T+2) + t for t = 0..T,
-with bases spaced so denominators never vanish and T exceeding the
-summed per-variable degree bounds, which proves vanishing along each
-line.  "random" uses seeded random rationals with resampling on zero
-denominators.
+exactly (a proof).  "grid" evaluates both sides in integers along one
+line, variable i taking the value 1 + i*(D+2) + i^2*t for t = 0..D, where
+D is the total degree of the difference of the sides times the
+Vandermonde product of the delta alphabets (`cleared_degree`).  No two
+variables meet on that line, so no denominator vanishes, and the
+differences v_i - v_j = (i-j)(D+2+(i+j)t) vary along it.  The D + 1
+points prove that the identity holds on the whole line; that is
+evidence, not a symbolic proof.  "random" uses seeded random rationals
+with resampling on zero denominators.
 """
 
 from __future__ import annotations
@@ -98,25 +101,11 @@ class Term:
     den: tuple[tuple[str, str], ...]
 
 
-def _expand(polys, lin, start: MultiPoly | None = None) -> MultiPoly:
-    out = MultiPoly.one() if start is None else start
-    for p in polys:
-        out = out * p
-    for u, v in lin:
-        out = out.mul_linear(u, v)
-    return out
-
-
-def _divide_factors(p: MultiPoly, factors: Iterable[tuple[str, str]]) -> MultiPoly:
-    for u, v in factors:
-        p = p.divexact_linear(u, v)
-    return p
-
-
 # Dense engine: monomials are exponent vectors packed into one integer,
-# _SHIFT bits per variable, so multiplying by a variable is an integer add.
-_SHIFT = 8
-_MASK = (1 << _SHIFT) - 1
+# `width` bits per variable, so multiplying by a variable is an integer add.
+# fraction_free_sum sizes the width from the cleared degree, which bounds
+# every exponent it builds; it never goes below _MIN_WIDTH bits.
+_MIN_WIDTH = 8
 
 
 def _dense_mul_linear(d: dict, su: int, sv: int) -> dict:
@@ -140,14 +129,14 @@ def _dense_mul(d1: dict, d2: dict) -> dict:
     return {k: c for k, c in out.items() if c}
 
 
-def _dense_divexact_linear(d: dict, su: int, sv: int) -> dict:
+def _dense_divexact_linear(d: dict, su: int, sv: int, mask: int) -> dict:
     """Exact synthetic division by (u - v) on packed keys."""
     if not d:
         return {}
     by_deg: dict[int, dict[int, object]] = {}
     top = 0
     for k, c in d.items():
-        e = (k >> su) & _MASK
+        e = (k >> su) & mask
         rest = k - (e << su)
         by_deg.setdefault(e, {})[rest] = by_deg.setdefault(e, {}).get(rest, 0) + c
         if e > top:
@@ -196,24 +185,43 @@ def _to_dense(p: MultiPoly, shift_of: dict) -> dict:
     for m, c in p.terms.items():
         key = 0
         for v, e in m:
-            if e > _MASK // 2:
-                # packed exponents must stay clear of the per-variable cap
-                raise FoamValueError(f"degree {e} in {v} exceeds the engine cap")
             key += e << shift_of[v]
         out[key] = c
     return out
 
 
-def _from_dense(d: dict, names: list[str]) -> MultiPoly:
+def _from_dense(d: dict, names: list[str], width: int) -> MultiPoly:
+    mask = (1 << width) - 1
     terms = {}
     for k, c in d.items():
         mono = []
         for i, nm in enumerate(names):
-            e = (k >> (_SHIFT * i)) & _MASK
+            e = (k >> (width * i)) & mask
             if e:
                 mono.append((nm, e))
         terms[tuple(mono)] = c
     return MultiPoly(terms)
+
+
+def cleared_degree(terms: Sequence[Term], delta_alphabets: Sequence[Sequence[str]],
+                   polys: Sequence[MultiPoly] = ()) -> int:
+    """Total degree bound of a term sum times V, the Vandermonde product.
+
+    A term times V is a polynomial of degree deg V + len(lin) +
+    sum(deg polys) - len(den) when its denominator factors are distinct
+    factors of V, which is checked; a closed polynomial in `polys` times V
+    has degree deg V + deg p.  The bound is the largest of these.
+    """
+    pairs = {frozenset(f) for vs in delta_alphabets for f in vandermonde_factors(vs)}
+    top = max((p.total_degree() for p in polys), default=0)
+    for t in terms:
+        den = {frozenset(f) for f in t.den}
+        if len(den) != len(t.den) or not den <= pairs:
+            raise FoamValueError("a term denominator does not divide the "
+                                 "Vandermonde product of the delta alphabets")
+        top = max(top, len(t.lin) + sum(p.total_degree() for p in t.polys)
+                  - len(t.den))
+    return sum(len(vs) * (len(vs) - 1) // 2 for vs in delta_alphabets) + top
 
 
 def fraction_free_sum(terms: Iterable[Term],
@@ -221,7 +229,10 @@ def fraction_free_sum(terms: Iterable[Term],
     """Exact sum of terms whose denominators divide the Vandermonde product."""
     terms = list(terms)
     names = _collect_variables(terms, delta_alphabets)
-    shift_of = {nm: _SHIFT * i for i, nm in enumerate(names)}
+    # every product below has total degree at most the cleared degree
+    width = max(_MIN_WIDTH, cleared_degree(terms, delta_alphabets).bit_length())
+    mask = (1 << width) - 1
+    shift_of = {nm: width * i for i, nm in enumerate(names)}
 
     all_factors = [
         (shift_of[u], shift_of[v])
@@ -236,7 +247,7 @@ def fraction_free_sum(terms: Iterable[Term],
     for term in terms:
         cur = delta
         for u, v in term.den:
-            cur = _dense_divexact_linear(cur, shift_of[u], shift_of[v])
+            cur = _dense_divexact_linear(cur, shift_of[u], shift_of[v], mask)
         for p in term.polys:
             cur = _dense_mul(cur, _to_dense(p, shift_of))
         for u, v in term.lin:
@@ -244,31 +255,34 @@ def fraction_free_sum(terms: Iterable[Term],
         for k, c in cur.items():
             acc[k] = acc.get(k, 0) + c
     for su, sv in all_factors:
-        acc = _dense_divexact_linear(acc, su, sv)
-    return _from_dense(acc, names)
+        acc = _dense_divexact_linear(acc, su, sv, mask)
+    return _from_dense(acc, names, width)
 
 
 def evaluate_terms_at(terms: Iterable[Term], assignment) -> Fraction:
-    """Exact rational value of the sum at a point; raises on zero denominator."""
-    total = Fraction(0)
+    """Exact value of the sum at a point; raises on zero denominator.
+
+    Each term's numerator and denominator are plain products of the
+    values (ints at integer points), added into one running N/D by
+    cross-multiplication; a single Fraction is built at the end.
+    """
+    total_num, total_den = 0, 1
     for term in terms:
-        num = Fraction(1)
+        num = 1
         for p in term.polys:
             num *= p.eval(assignment)
-            if num == 0:
-                break
-        if num != 0:
+        if num:
             for u, v in term.lin:
                 num *= assignment[u] - assignment[v]
-                if num == 0:
-                    break
-        den = Fraction(1)
+        den = 1
         for u, v in term.den:
             den *= assignment[u] - assignment[v]
-        if den == 0:
+        if not den:
             raise ZeroDivisionError("denominator vanished at evaluation point")
-        total += num / den
-    return total
+        if num:
+            total_num = total_num * den + num * total_den
+            total_den *= den
+    return Fraction(total_num, total_den)
 
 
 # ---------------------------------------------------------------------------
@@ -467,11 +481,6 @@ def evaluate_overlap(diagram: OverlapDiagram) -> MultiPoly:
     return fraction_free_sum(overlap_terms(diagram), _diagram_deltas(diagram))
 
 
-def evaluate_overlap_at(diagram: OverlapDiagram, assignment) -> Fraction:
-    """Exact value of the overlap state sum at a rational point."""
-    return evaluate_terms_at(overlap_terms(diagram), assignment)
-
-
 def diagram_variables(diagram: OverlapDiagram) -> list[str]:
     out = []
     for _, c in diagram.components:
@@ -660,17 +669,20 @@ def dksv_sides(A: VarAlphabet, B: VarAlphabet, X: VarAlphabet, E: VarAlphabet,
 # Verification modes
 
 
-def grid_assignments(variables: Sequence[str], per_var_bound: int):
-    """Deterministic line sweep: var i = 1 + i*(T+2) + t, t = 0..T.
+def grid_assignments(variables: Sequence[str], degree: int):
+    """Integer points t = 0..degree on the line v_i = 1 + i*(degree+2) + i^2*t.
 
-    Along the line the cleared difference is a univariate polynomial of
-    degree at most sum of per-variable bounds, so T+1 points prove
-    vanishing along the line; bases are spaced so variables never collide.
+    `degree` is the cleared total degree D of the identity being checked:
+    along the line the difference of the sides times the Vandermonde
+    product is a univariate polynomial of degree at most D, so the D + 1
+    points prove that it vanishes on the whole line (not everywhere).
+    Since v_i - v_j = (i-j)(D+2+(i+j)t), no two variables ever meet and
+    the differences vary from point to point.
     """
     vs = list(variables)
-    T = per_var_bound * len(vs) + 1
-    for t in range(T + 1):
-        yield {v: Fraction(1 + i * (T + 2) + t) for i, v in enumerate(vs)}
+    step = degree + 2
+    for t in range(degree + 1):
+        yield {v: 1 + i * step + i * i * t for i, v in enumerate(vs)}
 
 
 def _random_assignments(variables: Sequence[str], count: int, seed: int):
@@ -694,16 +706,19 @@ def _random_assignments(variables: Sequence[str], count: int, seed: int):
 
 
 def _check_identity(lhs_terms, rhs_terms, variables, delta_alphabets,
-                    mode: str, per_var_bound: int, seed: int = 0,
+                    mode: str, seed: int = 0,
                     lhs_value: MultiPoly | None = None) -> bool:
     """Compare two subset sums; lhs may instead be a closed polynomial."""
+    lhs = [] if lhs_value is not None else list(lhs_terms())
+    rhs = list(rhs_terms())
     if mode == "symbolic":
-        lhs = (lhs_value if lhs_value is not None
-               else fraction_free_sum(lhs_terms(), delta_alphabets))
-        rhs = fraction_free_sum(rhs_terms(), delta_alphabets)
-        return lhs == rhs
+        left = (lhs_value if lhs_value is not None
+                else fraction_free_sum(lhs, delta_alphabets))
+        return left == fraction_free_sum(rhs, delta_alphabets)
     if mode == "grid":
-        points = grid_assignments(variables, per_var_bound)
+        closed = () if lhs_value is None else (lhs_value,)
+        points = grid_assignments(
+            variables, cleared_degree(lhs + rhs, delta_alphabets, closed))
     elif mode == "random":
         points = _random_assignments(variables, 12, seed)
     else:
@@ -711,8 +726,8 @@ def _check_identity(lhs_terms, rhs_terms, variables, delta_alphabets,
     for assignment in points:
         try:
             left = (lhs_value.eval(assignment) if lhs_value is not None
-                    else evaluate_terms_at(lhs_terms(), assignment))
-            right = evaluate_terms_at(rhs_terms(), assignment)
+                    else evaluate_terms_at(lhs, assignment))
+            right = evaluate_terms_at(rhs, assignment)
         except ZeroDivisionError:
             if mode == "random":
                 continue
@@ -737,7 +752,7 @@ def verify_exchange(m: int, n: int, mode: str = "symbolic", seed: int = 0) -> li
         variables = A.variables + B.variables + X.variables
         ok = _check_identity(
             lhs, rhs, variables, [A.variables, B.variables],
-            mode, per_var_bound=m + n + len(X), seed=seed,
+            mode, seed=seed,
         )
         report.append({"d": d, "size_x": len(X), "ok": ok})
     return report
@@ -757,7 +772,7 @@ def verify_chen_louck(m: int, d: int, f: MultiPoly | None = None,
     variables = A.variables + X.variables
     ok = _check_identity(
         None, rhs, variables, [A.variables], mode,
-        per_var_bound=m + k + d, seed=seed, lhs_value=lhs_value,
+        seed=seed, lhs_value=lhs_value,
     )
     return {"m": m, "d": d, "ok": ok}
 
@@ -772,17 +787,14 @@ def verify_dksv(m: int, n: int, d: int, size_x: int, size_e: int,
     variables = A.variables + B.variables + X.variables + E.variables
     ok = _check_identity(
         lhs, rhs, variables, [A.variables, E.variables],
-        mode, per_var_bound=m + n + size_x + size_e, seed=seed,
+        mode, seed=seed,
     )
     return {"m": m, "n": n, "d": d, "size_x": size_x, "size_e": size_e, "ok": ok}
 
 
-def overlap_matches_polynomial(diagram: OverlapDiagram, poly_terms,
-                               per_var_bound: int) -> bool:
-    """Deterministic line-sweep equality of a diagram and a term sum."""
-    variables = diagram_variables(diagram)
-    for assignment in grid_assignments(variables, per_var_bound):
-        if evaluate_overlap_at(diagram, assignment) != \
-                evaluate_terms_at(poly_terms(), assignment):
-            return False
-    return True
+def overlap_matches_polynomial(diagram: OverlapDiagram, poly_terms) -> bool:
+    """Grid-mode equality of a diagram's state sum and a term sum."""
+    return _check_identity(
+        lambda: overlap_terms(diagram), poly_terms, diagram_variables(diagram),
+        _diagram_deltas(diagram), "grid",
+    )

@@ -706,6 +706,11 @@ def surface_from_json(doc, backend: FrobeniusBackend | None = None) -> Decorated
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
+    if not isinstance(doc, dict):
+        raise SurfaceError("a surface must be a JSON object")
+    for key in ("facets", "seams"):
+        if not isinstance(doc.get(key), list):
+            raise SurfaceError(f"a surface needs a list under {key!r}")
     if backend is None:
         if "backend" not in doc:
             raise SurfaceError("no backend given (inline or as argument)")
@@ -716,7 +721,11 @@ def surface_from_json(doc, backend: FrobeniusBackend | None = None) -> Decorated
         dots = tuple(
             backend.parse_element(level, d) for d in fd.get("dots", ())
         )
-        facets.append(Facet(fd["id"], fd.get("genus", 0), level, dots,
+        genus = fd.get("genus", 0)
+        if not isinstance(genus, int) or genus < 0:
+            raise SurfaceError(
+                f"facet {fd['id']}: genus must be a nonnegative integer, got {genus!r}")
+        facets.append(Facet(fd["id"], genus, level, dots,
                             tuple(fd.get("boundary", ()))))
     seams = []
     for sd in doc["seams"]:

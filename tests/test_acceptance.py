@@ -190,7 +190,6 @@ def test_criterion_4_sylvester_suite():
                     ok = ok and overlap_matches_polynomial(
                         diagram_sylvester(A, B, p, q),
                         lambda A=A, B=B, p=p, q=q: sylvester_terms(A, B, p, q),
-                        per_var_bound=m + n + 2,
                     )
     # exchange: symbolic proof m, n <= 3; deterministic grids m, n <= 5
     for m in range(1, 4):

@@ -202,3 +202,41 @@ def test_failing_assertion_exit_1(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL" in out
+
+
+# ------------------------------------------- bad input exits 2, never raises
+
+def test_mf_trace_without_p_exit_2(capsys):
+    assert run(["mf", "trace", "--f", "x^2-2"]) == 2
+    assert "--p" in capsys.readouterr().err
+
+
+def test_web_decompose_without_f_exit_2(capsys):
+    assert run(["web", "decompose", "--p", "2", "--parts", "1,1,1"]) == 2
+    assert "--f" in capsys.readouterr().err
+
+
+def test_surface_without_facets_exit_2(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(
+        {"backend": {"kind": "finite", "p": 3, "degrees": [1, 2]}, "seams": []}))
+    assert run(["tqft", "eval", "--surface", str(path)]) == 2
+    assert "facets" in capsys.readouterr().err
+
+
+def test_surface_with_non_integer_genus_exit_2(tmp_path, capsys):
+    doc = {
+        "backend": NILPOTENT_BACKEND,
+        "facets": [{"id": "f", "genus": "one", "label": "A", "boundary": []}],
+        "seams": [],
+    }
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert run(["tqft", "eval", "--surface", str(path)]) == 2
+    assert "genus" in capsys.readouterr().err
+
+
+def test_negative_size_exit_2(capsys):
+    assert run(["verify", "sylvester", "--m", "-1"]) == 2
+    assert "nonnegative" in capsys.readouterr().err
+    assert run(["wreath", "facts", "-n", "-1"]) == 2

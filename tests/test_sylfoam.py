@@ -287,14 +287,9 @@ def test_fraction_free_sum_matches_reference():
 # --------------------------------------- diagram families at larger sizes
 
 def test_exchange_diagram_family_line_sweeps():
-    # foam = formula for the exchange sides up to m + n = 7, checked by
-    # deterministic line sweeps (symbolic equality is tested at small sizes)
-    from foamlib.sylfoam import (
-        diagram_variables,
-        evaluate_overlap_at,
-        evaluate_terms_at,
-        grid_assignments,
-    )
+    # foam = formula for the exchange sides up to m + n = 7, checked in grid
+    # mode (symbolic equality is tested at small sizes)
+    from foamlib.sylfoam import overlap_matches_polynomial
 
     for m in range(1, 5):
         for n in range(1, 8 - m):
@@ -303,25 +298,12 @@ def test_exchange_diagram_family_line_sweeps():
                 X = alphabet("X", m + n - 2 * d)
                 L, R = diagram_exchange_sides(A, B, X, d)
                 lt, rt = exchange_sides_terms(A, B, X, d)
-                variables = diagram_variables(L)
-                count = 0
-                for assignment in grid_assignments(variables, m + n + len(X)):
-                    assert evaluate_overlap_at(L, assignment) == \
-                        evaluate_terms_at(lt(), assignment)
-                    assert evaluate_overlap_at(R, assignment) == \
-                        evaluate_terms_at(rt(), assignment)
-                    count += 1
-                    if count > 25:
-                        break
+                assert overlap_matches_polynomial(L, lt)
+                assert overlap_matches_polynomial(R, rt)
 
 
 def test_dksv_diagram_family_line_sweeps():
-    from foamlib.sylfoam import (
-        diagram_variables,
-        evaluate_overlap_at,
-        evaluate_terms_at,
-        grid_assignments,
-    )
+    from foamlib.sylfoam import overlap_matches_polynomial
 
     for m, n, d, sx, se in [(2, 2, 1, 1, 4), (3, 2, 1, 1, 4), (3, 2, 2, 1, 5),
                             (2, 3, 1, 2, 5)]:
@@ -329,16 +311,8 @@ def test_dksv_diagram_family_line_sweeps():
         X, E = alphabet("X", sx), alphabet("E", se)
         L, R = diagram_dksv_sides(A, B, X, E, d)
         lt, rt = dksv_sides(A, B, X, E, d)
-        variables = diagram_variables(R)
-        count = 0
-        for assignment in grid_assignments(variables, m + n + sx + se):
-            assert evaluate_overlap_at(L, assignment) == \
-                evaluate_terms_at(lt(), assignment)
-            assert evaluate_overlap_at(R, assignment) == \
-                evaluate_terms_at(rt(), assignment)
-            count += 1
-            if count > 25:
-                break
+        assert overlap_matches_polynomial(L, lt)
+        assert overlap_matches_polynomial(R, rt)
 
 
 # ---------------------------------------------------- mode cross-agreement
@@ -350,3 +324,171 @@ def test_symbolic_and_grid_agree():
         assert [e["ok"] for e in sym] == [e["ok"] for e in grd]
     assert verify_chen_louck(3, 1, mode="symbolic")["ok"] == \
         verify_chen_louck(3, 1, mode="grid")["ok"]
+
+
+# ------------------------------------------------------------ grid mode
+
+def test_grid_refutes_identity_that_agrees_at_base_point():
+    # (a2 - a1)^2 and (a3 - a1)(a2 - a1)/2 agree whenever a3 - a2 = a2 - a1,
+    # which held at every point of a line moving all variables alike
+    from fractions import Fraction
+
+    from foamlib.sylfoam import Term, _check_identity
+
+    def lhs():
+        yield Term((), (("a2", "a1"), ("a2", "a1")), ())
+
+    def rhs():
+        yield Term((MultiPoly.const(Fraction(1, 2)),),
+                   (("a3", "a1"), ("a2", "a1")), ())
+
+    assert not _check_identity(lhs, rhs, ["a1", "a2", "a3"], [], "grid")
+    assert _check_identity(lhs, lhs, ["a1", "a2", "a3"], [], "grid")
+
+
+def _grid_point_counts(monkeypatch):
+    from foamlib import sylfoam
+
+    counts = []
+    inner = sylfoam.grid_assignments
+
+    def counted(variables, degree):
+        counts.append(0)
+        for point in inner(variables, degree):
+            counts[-1] += 1
+            yield point
+
+    monkeypatch.setattr(sylfoam, "grid_assignments", counted)
+    return counts
+
+
+def test_grid_point_count_is_cleared_degree_plus_one(monkeypatch):
+    from foamlib.sylfoam import cleared_degree
+
+    counts = _grid_point_counts(monkeypatch)
+    # Exchange m = n = 3: deg V(A)V(B) = 6, terms of degree mn - d^2
+    assert all(e["ok"] for e in verify_exchange(3, 3, "grid"))
+    assert counts == [6 + 9 - d * d + 1 for d in range(4)]
+    # DKSV m = n = 2, d = 1, |X| = 1, |E| = 4: deg V(A)V(E) = 7, terms of degree 2
+    A, B, X, E = (alphabet("A", 2), alphabet("B", 2), alphabet("X", 1),
+                  alphabet("E", 4))
+    lt, rt = dksv_sides(A, B, X, E, 1)
+    deltas = [A.variables, E.variables]
+    assert cleared_degree(list(lt()) + list(rt()), deltas) == 9
+    counts.clear()
+    assert verify_dksv(2, 2, 1, 1, 4, "grid")["ok"]
+    assert counts == [10]
+    # Chen-Louck m = 5, d = 2: deg V(A) = 10, e_3 of degree 3 on both sides
+    counts.clear()
+    assert verify_chen_louck(5, 2, mode="grid")["ok"]
+    assert counts == [14]
+
+
+def test_cleared_degree_rejects_foreign_denominator():
+    from foamlib.sylfoam import Term, cleared_degree
+
+    with pytest.raises(FoamValueError):
+        cleared_degree([Term((), (), (("a1", "b1"),))], [["a1", "a2"], ["b1"]])
+    with pytest.raises(FoamValueError):
+        cleared_degree([Term((), (), (("a1", "a2"), ("a2", "a1")))], [["a1", "a2"]])
+
+
+def test_grid_line_keeps_variables_apart():
+    from fractions import Fraction
+
+    from foamlib.sylfoam import grid_assignments
+
+    points = list(grid_assignments(["v0", "v1", "v2", "v3"], 5))
+    assert len(points) == 6
+    for pt in points:
+        assert all(isinstance(x, int) for x in pt.values())
+        assert len(set(pt.values())) == 4
+    # differences vary along the line, and not in proportion
+    d10 = [pt["v1"] - pt["v0"] for pt in points]
+    d32 = [pt["v3"] - pt["v2"] for pt in points]
+    assert len(set(d10)) == 6
+    assert len({Fraction(a, b) for a, b in zip(d10, d32)}) > 1
+
+
+def test_overlap_exponents_beyond_eight_bits():
+    s1 = MultiPoly.var("s1")
+    X = alphabet("X", 1)
+    diagram = OverlapDiagram(
+        (("X", MaxSurface(X, dots=(s1 ** 127, s1 ** 127, s1 ** 5))),), ())
+    assert evaluate_overlap(diagram) == MultiPoly.var("x1") ** 259
+
+
+# ------------------------------------------------ evaluate_terms_at property
+
+_VARS = ("a1", "a2", "a3", "b1")
+
+
+def _naive_value(terms, point):
+    from fractions import Fraction
+
+    total = Fraction(0)
+    for t in terms:
+        value = Fraction(1)
+        for p in t.polys:
+            pv = Fraction(0)
+            for mono, c in p.terms.items():
+                acc = Fraction(c)
+                for v, e in mono:
+                    acc *= Fraction(point[v]) ** e
+                pv += acc
+            value *= pv
+        for u, v in t.lin:
+            value *= Fraction(point[u]) - Fraction(point[v])
+        for u, v in t.den:
+            value /= Fraction(point[u]) - Fraction(point[v])
+        total += value
+    return total
+
+
+def _term_sets():
+    from fractions import Fraction
+
+    from hypothesis import strategies as st
+
+    from foamlib.sylfoam import Term
+
+    pair = st.tuples(st.sampled_from(_VARS), st.sampled_from(_VARS)).filter(
+        lambda uv: uv[0] != uv[1])
+    coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+    mono = st.lists(st.tuples(st.sampled_from(_VARS), st.integers(1, 3)),
+                    max_size=2, unique_by=lambda ve: ve[0]).map(
+        lambda ms: tuple(sorted(ms)))
+    poly = st.dictionaries(mono, coeff, max_size=3).map(MultiPoly)
+    term = st.builds(
+        Term,
+        st.lists(poly, max_size=2).map(tuple),
+        st.lists(pair, max_size=4).map(tuple),
+        st.lists(pair, max_size=3).map(tuple),
+    )
+    return st.lists(term, max_size=6)
+
+
+def _points():
+    from fractions import Fraction
+
+    from hypothesis import strategies as st
+
+    ints = st.lists(st.integers(-40, 40), min_size=4, max_size=4, unique=True)
+    fracs = st.lists(st.builds(Fraction, st.integers(-40, 40), st.integers(1, 6)),
+                     min_size=4, max_size=4, unique=True)
+    return st.one_of(ints, fracs).map(lambda vals: dict(zip(_VARS, vals)))
+
+
+def test_evaluate_terms_at_matches_naive_sum():
+    from hypothesis import given, settings
+
+    from foamlib.sylfoam import evaluate_terms_at
+
+    @settings(max_examples=200, deadline=None)
+    @given(_term_sets(), _points())
+    def check(terms, point):
+        got = evaluate_terms_at(terms, point)
+        assert got == _naive_value(terms, point)
+        assert got == evaluate_terms_at(iter(terms), point)
+
+    check()
