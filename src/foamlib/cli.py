@@ -13,7 +13,6 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -368,14 +367,8 @@ def cmd_suite(args, report: RunReport):
     if args.name not in ("smoke", "full"):
         raise ValueError(f"unknown suite {args.name!r}")
     items = _suite_items(args.name, args.seed)
-    workers = max(1, args.threads)
-    if workers == 1:
-        results = [(nm, fn()) for nm, fn in items]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [(nm, pool.submit(fn)) for nm, fn in items]
-            results = [(nm, fut.result()) for nm, fut in futures]
-    for nm, (ok, value) in results:
+    for nm, fn in items:
+        ok, value = fn()
         report.add(nm, ok, value)
 
 
@@ -408,8 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--json", action="store_true", help="emit the report as JSON")
     ap.add_argument("--seed", type=int, default=0, help="seed for random modes")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="worker bound; results are independent of it")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_tqft = sub.add_parser("tqft", help="evaluate a decorated surface")

@@ -19,11 +19,9 @@ from .ffield import (
 from .multipoly import (
     MultiPoly,
     esym,
-    eval_multi,
     is_symmetric,
     parse_poly,
     parse_unipoly,
-    power_sum,
 )
 
 __all__ = [
@@ -42,9 +40,7 @@ __all__ = [
     "smallest_irreducible",
     "MultiPoly",
     "esym",
-    "eval_multi",
     "is_symmetric",
     "parse_poly",
     "parse_unipoly",
-    "power_sum",
 ]

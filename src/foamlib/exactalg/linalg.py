@@ -3,20 +3,6 @@
 from __future__ import annotations
 
 
-def mat_mul_vec(dom, M, v):
-    return [
-        _dot(dom, row, v)
-        for row in M
-    ]
-
-
-def _dot(dom, row, v):
-    acc = dom.zero
-    for a, b in zip(row, v):
-        acc = dom.add(acc, dom.mul(a, b))
-    return acc
-
-
 def mat_inverse(dom, M):
     """Inverse of a square matrix by Gauss-Jordan; raises on singularity."""
     n = len(M)

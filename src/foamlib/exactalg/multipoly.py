@@ -45,16 +45,6 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(out)
 
 
-def _mono_mul_var(m: Monomial, u: str) -> Monomial:
-    for idx in range(len(m)):
-        v, e = m[idx]
-        if v == u:
-            return m[:idx] + ((u, e + 1),) + m[idx + 1:]
-        if v > u:
-            return m[:idx] + ((u, 1),) + m[idx:]
-    return m + ((u, 1),)
-
-
 class MultiPoly:
     """Coefficients are Fraction or int; ints are kept unwrapped since the
     two interoperate exactly and integer paths skip gcd normalization."""
@@ -175,23 +165,6 @@ class MultiPoly:
             return MultiPoly()
         return MultiPoly._raw({m: c * v for m, v in self.terms.items()})
 
-    def mul_linear(self, u: str, v) -> "MultiPoly":
-        """Fast multiply by (u - v), v a variable name or a constant."""
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            mu = _mono_mul_var(m, u)
-            out[mu] = out.get(mu, 0) + c
-        if isinstance(v, str):
-            for m, c in self.terms.items():
-                mv = _mono_mul_var(m, v)
-                out[mv] = out.get(mv, 0) - c
-        else:
-            cv = v if isinstance(v, (int, Fraction)) else Fraction(v)
-            if cv:
-                for m, c in self.terms.items():
-                    out[m] = out.get(m, 0) - cv * c
-        return MultiPoly._raw({m: c for m, c in out.items() if c})
-
     def __pow__(self, e: int) -> "MultiPoly":
         if e < 0:
             raise ValueError("negative power")
@@ -242,65 +215,6 @@ class MultiPoly:
             out[mm] = out.get(mm, 0) + c
         return MultiPoly(out)
 
-    def subs_values(self, assignment: Mapping[str, Fraction]) -> "MultiPoly":
-        """Substitute values for a subset of the variables."""
-        out = MultiPoly()
-        for m, c in self.terms.items():
-            coeff = c
-            rest = []
-            for v, e in m:
-                if v in assignment:
-                    coeff *= Fraction(assignment[v]) ** e
-                else:
-                    rest.append((v, e))
-            out = out + MultiPoly({tuple(rest): coeff})
-        return out
-
-    def as_unipoly_in(self, var: str) -> list["MultiPoly"]:
-        """Coefficient list (lowest degree first) of self viewed in one variable."""
-        coeffs: list[dict[Monomial, Fraction]] = [
-            {} for _ in range(self.degree_in(var) + 1)
-        ]
-        for m, c in self.terms.items():
-            e = 0
-            rest = []
-            for v, ee in m:
-                if v == var:
-                    e = ee
-                else:
-                    rest.append((v, ee))
-            key = tuple(rest)
-            coeffs[e][key] = coeffs[e].get(key, 0) + c
-        return [MultiPoly._raw({m: c for m, c in d.items() if c}) for d in coeffs]
-
-    def mul_var(self, u: str) -> "MultiPoly":
-        """Fast multiply by a single variable."""
-        return MultiPoly._raw(
-            {_mono_mul_var(m, u): c for m, c in self.terms.items()}
-        )
-
-    def divexact_linear(self, u: str, v) -> "MultiPoly":
-        """Exact division by (u - v), v a variable name or a Fraction.
-
-        Synthetic division in u; raises if the remainder is nonzero.
-        """
-        cs = self.as_unipoly_in(u)
-        if len(cs) == 1 and cs[0].is_zero():
-            return MultiPoly()
-        quot: list[MultiPoly] = [MultiPoly.zero()] * (len(cs) - 1)
-        carry = MultiPoly.zero()
-        for e in range(len(cs) - 1, 0, -1):
-            q = cs[e] + carry
-            quot[e - 1] = q
-            carry = q.mul_var(v) if isinstance(v, str) else q.scale(v)
-        rem = cs[0] + carry
-        if not rem.is_zero():
-            raise ArithmeticError(f"division by ({u} - {v}) is not exact")
-        out = MultiPoly.zero()
-        for e in range(len(quot) - 1, -1, -1):
-            out = out.mul_var(u) + quot[e]
-        return out
-
     # -- printing --------------------------------------------------------
 
     def render(self) -> str:
@@ -349,13 +263,6 @@ def esym(variables: Iterable[str], k: int) -> MultiPoly:
     return e[k]
 
 
-def power_sum(variables: Iterable[str], k: int) -> MultiPoly:
-    out = MultiPoly.zero()
-    for v in variables:
-        out = out + MultiPoly.var(v) ** k
-    return out
-
-
 def is_symmetric(p: MultiPoly, variables: list[str]) -> bool:
     """Invariance under adjacent transpositions of the listed variables."""
     for i in range(len(variables) - 1):
@@ -363,11 +270,6 @@ def is_symmetric(p: MultiPoly, variables: list[str]) -> bool:
         if p.subs_vars({a: b, b: a}) != p:
             return False
     return True
-
-
-def eval_multi(p: MultiPoly, assignment: Mapping[str, Fraction]) -> Fraction:
-    """Exact substitution value of p under a full variable assignment."""
-    return p.eval(assignment)
 
 
 _TOKEN = re.compile(
@@ -452,8 +354,8 @@ class _Parser:
             if k2 == "op" and v2 == "/":
                 self.take()
                 k3, v3 = self.take()
-                if k3 != "num":
-                    raise ValueError("expected integer after '/'")
+                if k3 != "num" or v3 == 0:
+                    raise ValueError("expected a nonzero integer after '/'")
                 return MultiPoly.const(Fraction(val, v3))
             return MultiPoly.const(val)
         if kind == "var":

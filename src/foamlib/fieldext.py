@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactalg.ffield import ExtField, GF
+from .exactalg.ffield import ExtField, GF, NumberField
 from .exactalg.linalg import mat_inverse, solve
 from .exactalg.multipoly import parse_poly, parse_unipoly
 from .exactalg.scalars import QQ_DOMAIN, zmod
@@ -137,18 +137,6 @@ class FrobeniusBackend:
             ) from None
 
     # --- generic helpers built on the primitive ops ----------------------
-
-    def product(self, level: int, elems) -> object:
-        out = self.one(level)
-        for e in elems:
-            out = self.mul(level, out, e)
-        return out
-
-    def power(self, level: int, a, e: int):
-        out = self.one(level)
-        for _ in range(e):
-            out = self.mul(level, out, a)
-        return out
 
     def gram_matrix(self, level: int):
         basis = self.basis(level)
@@ -576,10 +564,6 @@ class FiniteFieldTower(FrobeniusBackend):
     def is_identity_automorphism(self, sigma: Automorphism) -> bool:
         return sigma.action % max(self.dim(sigma.level), 1) == 0
 
-    def automorphism_group(self, level) -> list[Automorphism]:
-        level = self.level_index(level)
-        return [self.frobenius_automorphism(level, e) for e in range(self.dim(level))]
-
     # --- Galois / idempotent data ----------------------------------------
 
     @property
@@ -677,7 +661,7 @@ class RationalNumberField(FrobeniusBackend):
         if not f.is_monic() or f.degree < 1:
             raise BackendError("defining polynomial must be monic of degree >= 1")
         self.f = f
-        self.field = _number_field(f)
+        self.field = NumberField(f)
         self.ground = QQ_DOMAIN
         self.level_names = tuple(names)
         self.roots = None
@@ -812,10 +796,6 @@ class RationalNumberField(FrobeniusBackend):
     def is_identity_automorphism(self, sigma: Automorphism) -> bool:
         return self.roots[sigma.action] == self.field.gen()
 
-    def automorphism_group(self, level=1) -> list[Automorphism]:
-        self._need_roots()
-        return [self.automorphism_by_root(i) for i in range(len(self.roots))]
-
     def embeddings(self, level: int):
         level = self.level_index(level)
         if level == 0:
@@ -884,12 +864,6 @@ class RationalNumberField(FrobeniusBackend):
         if self.roots is not None:
             out["roots"] = [UniPoly(QQ_DOMAIN, r).render() for r in self.roots]
         return out
-
-
-def _number_field(f: UniPoly) -> ExtField:
-    from .exactalg.ffield import NumberField
-
-    return NumberField(f)
 
 
 def _eval_poly_in_ext(p: UniPoly, ext: ExtField, at):
@@ -1006,7 +980,11 @@ class TableAlgebra(FrobeniusBackend):
 
     def matrix_automorphism(self, matrix, name: str = "sigma") -> Automorphism:
         dom = self.ground
-        M = tuple(tuple(dom.of(c) for c in row) for row in matrix)
+        if not (isinstance(matrix, (list, tuple)) and len(matrix) == self.n and all(
+                isinstance(row, (list, tuple)) and len(row) == self.n for row in matrix)):
+            raise BackendError(f"an automorphism matrix must be {self.n} x {self.n}, "
+                               f"got {matrix!r}")
+        M = tuple(tuple(dom.of(_frac_of(c)) for c in row) for row in matrix)
         sigma = Automorphism(self, 0, M, name=name)
         self.validate_automorphism(sigma)
         return sigma
@@ -1105,9 +1083,30 @@ def _sum(dom, items):
 
 
 def _frac_of(v) -> Fraction:
-    if isinstance(v, str):
+    """An exact table number: an int, a Fraction or a rational string "p/q".
+
+    JSON floats and bools are refused: a binary fraction such as 0.1 is
+    not the number the document wrote.
+    """
+    if isinstance(v, bool) or not isinstance(v, (int, Fraction, str)):
+        raise BackendError(f"table numbers must be ints or 'p/q' strings, got {v!r}")
+    try:
         return Fraction(v)
-    return Fraction(v)
+    except (ValueError, ZeroDivisionError):
+        raise BackendError(f"not a rational number: {v!r}") from None
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_list(v, ok=lambda x: True, length=None) -> bool:
+    return (isinstance(v, list) and (length is None or len(v) == length)
+            and all(ok(x) for x in v))
+
+
+def _is_str(v) -> bool:
+    return isinstance(v, str)
 
 
 def make_backend(descriptor) -> FrobeniusBackend:
@@ -1120,26 +1119,45 @@ def make_backend(descriptor) -> FrobeniusBackend:
     """
     if isinstance(descriptor, str):
         descriptor = json.loads(descriptor)
+    if not isinstance(descriptor, dict):
+        raise BackendError(f"a backend must be a JSON object, got {descriptor!r}")
     kind = descriptor.get("kind")
+
+    def need(key, ok, what, default=None):
+        value = descriptor.get(key, default)
+        if not ok(value):
+            raise BackendError(f"{kind} backend: {key!r} must be {what}, got {value!r}")
+        return value
+
     if kind == "finite":
-        return FiniteFieldTower(descriptor["p"], descriptor["degrees"],
-                                names=descriptor.get("names"))
+        return FiniteFieldTower(
+            need("p", _is_int, "a prime"),
+            need("degrees", lambda v: _is_list(v, lambda d: _is_int(d) and d > 0),
+                 "a list of positive ints"),
+            names=need("names", lambda v: v is None or _is_list(v, _is_str),
+                       "a list of strings"))
     if kind == "numberfield":
-        f = parse_unipoly(descriptor["f"], QQ_DOMAIN)
-        roots = None
-        if "roots" in descriptor:
-            roots = [parse_unipoly(r, QQ_DOMAIN) for r in descriptor["roots"]]
+        f = parse_unipoly(need("f", _is_str, "a polynomial string"), QQ_DOMAIN)
+        roots = need("roots", lambda v: v is None or _is_list(v, _is_str),
+                     "a list of polynomial strings")
+        if roots is not None:
+            roots = [parse_unipoly(r, QQ_DOMAIN) for r in roots]
         return RationalNumberField(f, roots)
     if kind == "table":
-        char = descriptor.get("char", 0)
+        char = need("char", lambda v: _is_int(v) and v >= 0, "0 or a prime", 0)
         ground = QQ_DOMAIN if char == 0 else zmod(char)
-        mult = [
-            [[_frac_of(c) for c in cell] for cell in row]
-            for row in descriptor["mult"]
-        ]
-        trace = [_frac_of(c) for c in descriptor["trace"]]
-        unit = [_frac_of(c) for c in descriptor["unit"]]
-        return TableAlgebra(descriptor["basis"], mult, trace, unit, ground=ground)
+        basis = need("basis", lambda v: _is_list(v, _is_str), "a list of names")
+        n = len(basis)
+
+        def vector(v):
+            return _is_list(v, length=n)
+
+        mult = need("mult", lambda v: _is_list(v, lambda row: _is_list(row, vector, n), n),
+                    f"{n} x {n} cells of {n} numbers")
+        mult = [[[_frac_of(c) for c in cell] for cell in row] for row in mult]
+        trace = [_frac_of(c) for c in need("trace", vector, f"{n} numbers")]
+        unit = [_frac_of(c) for c in need("unit", vector, f"{n} numbers")]
+        return TableAlgebra(basis, mult, trace, unit, ground=ground)
     raise BackendError(f"unknown backend kind {kind!r}")
 
 

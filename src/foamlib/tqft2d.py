@@ -43,6 +43,7 @@ from .fieldext import (
     FiniteFieldTower,
     FrobeniusBackend,
     RationalNumberField,
+    TableAlgebra,
     make_backend,
 )
 
@@ -685,15 +686,37 @@ def parse_sigma(backend, spec) -> Automorphism:
         raise SurfaceError(f"cannot parse automorphism {spec!r}")
     if isinstance(spec, dict):
         if "root" in spec:
+            if not isinstance(backend, RationalNumberField):
+                raise SurfaceError("{'root': ...} needs a number field backend")
+            if not isinstance(spec["root"], str):
+                raise SurfaceError(f"a root must be a polynomial string, got {spec['root']!r}")
             from .exactalg.multipoly import parse_unipoly
             from .exactalg.scalars import QQ_DOMAIN
 
-            root_poly = parse_unipoly(spec["root"], QQ_DOMAIN)
-            img = backend._elem_from_poly(root_poly)
+            backend._need_roots()
+            img = backend._elem_from_poly(parse_unipoly(spec["root"], QQ_DOMAIN))
+            if img not in backend.roots:
+                raise SurfaceError(f"{spec['root']!r} is not one of the supplied roots")
             return backend.automorphism_by_root(backend.roots.index(img))
         if "matrix" in spec:
+            if not isinstance(backend, TableAlgebra):
+                raise SurfaceError("{'matrix': ...} needs a table backend")
             return backend.matrix_automorphism(spec["matrix"])
     raise SurfaceError(f"cannot parse automorphism {spec!r}")
+
+
+def _strings(value, what: str) -> tuple[str, ...]:
+    if not isinstance(value, (list, tuple)) or not all(isinstance(x, str) for x in value):
+        raise SurfaceError(f"{what} must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
+def _endpoint(value, what: str) -> tuple[str, str]:
+    """A seam end [facet id, circle name]."""
+    end = _strings(value, what)
+    if len(end) != 2:
+        raise SurfaceError(f"{what} must be a [facet id, circle name] pair, got {value!r}")
+    return end
 
 
 def surface_from_json(doc, backend: FrobeniusBackend | None = None) -> DecoratedSurface:
@@ -717,33 +740,41 @@ def surface_from_json(doc, backend: FrobeniusBackend | None = None) -> Decorated
         backend = make_backend(doc["backend"])
     facets = []
     for fd in doc["facets"]:
+        if not isinstance(fd, dict) or not isinstance(fd.get("id"), str):
+            raise SurfaceError(f"a facet must be an object with a string 'id', got {fd!r}")
         level = backend.level_index(fd.get("label", fd.get("level", 0)))
-        dots = tuple(
-            backend.parse_element(level, d) for d in fd.get("dots", ())
-        )
+        dots = tuple(backend.parse_element(level, d)
+                     for d in _strings(fd.get("dots", ()), f"facet {fd['id']}: dots"))
         genus = fd.get("genus", 0)
-        if not isinstance(genus, int) or genus < 0:
+        if not isinstance(genus, int) or isinstance(genus, bool) or genus < 0:
             raise SurfaceError(
                 f"facet {fd['id']}: genus must be a nonnegative integer, got {genus!r}")
-        facets.append(Facet(fd["id"], genus, level, dots,
-                            tuple(fd.get("boundary", ()))))
+        facets.append(Facet(fd["id"], genus, level, dots, _strings(
+            fd.get("boundary", ()), f"facet {fd['id']}: boundary")))
+    level_of = {f.id: f.level for f in facets}
     seams = []
     for sd in doc["seams"]:
-        kind = sd["kind"]
+        if not isinstance(sd, dict):
+            raise SurfaceError(f"a seam must be an object, got {sd!r}")
+        kind = sd.get("kind")
         if kind == "plain":
-            (f0, c0), (f1, c1) = sd["ends"]
-            seams.append(Seam("plain", (f0, c0), (f1, c1)))
+            ends = sd.get("ends")
+            if not isinstance(ends, (list, tuple)) or len(ends) != 2:
+                raise SurfaceError(f"a plain seam needs two 'ends', got {ends!r}")
+            seams.append(Seam("plain", _endpoint(ends[0], "a plain seam end"),
+                              _endpoint(ends[1], "a plain seam end")))
         elif kind == "inclusion":
-            seams.append(Seam("inclusion", tuple(sd["lower"]), tuple(sd["upper"])))
+            seams.append(Seam("inclusion", _endpoint(sd.get("lower"), "'lower'"),
+                              _endpoint(sd.get("upper"), "'upper'")))
         elif kind == "defect":
-            sig = parse_sigma(backend, sd["sigma"])
+            source = _endpoint(sd.get("source"), "'source'")
+            target = _endpoint(sd.get("target"), "'target'")
+            sig = parse_sigma(backend, sd.get("sigma"))
             if isinstance(sig, tuple) and sig[0] == "frob":
-                level = None
-                for fd in doc["facets"]:
-                    if fd["id"] == sd["source"][0]:
-                        level = backend.level_index(fd.get("label", fd.get("level", 0)))
-                sig = backend.frobenius_automorphism(level, sig[1])
-            seams.append(Seam("defect", tuple(sd["source"]), tuple(sd["target"]), sig))
+                if source[0] not in level_of:
+                    raise SurfaceError(f"defect source {list(source)} names no facet")
+                sig = backend.frobenius_automorphism(level_of[source[0]], sig[1])
+            seams.append(Seam("defect", source, target, sig))
         else:
             raise SurfaceError(
                 f"unknown seam kind {kind!r}; trivalent network vertices and "

@@ -158,17 +158,6 @@ def test_suite_smoke(capsys):
     assert "FAIL" not in out
 
 
-def test_threads_do_not_change_results(capsys):
-    run(["--json", "suite", "smoke"])
-    single = capsys.readouterr().out
-    run(["--json", "--threads", "4", "suite", "smoke"])
-    multi = capsys.readouterr().out
-    # thread count is part of the digest input; compare assertion payloads
-    a = json.loads(single)["assertions"]
-    b = json.loads(multi)["assertions"]
-    assert a == b
-
-
 def test_json_deterministic(capsys):
     run(["--json", "wreath", "d4-table"])
     first = capsys.readouterr().out
@@ -234,9 +223,82 @@ def test_surface_with_non_integer_genus_exit_2(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert run(["tqft", "eval", "--surface", str(path)]) == 2
     assert "genus" in capsys.readouterr().err
+    doc["facets"][0]["genus"] = True
+    path.write_text(json.dumps(doc))
+    assert run(["tqft", "eval", "--surface", str(path)]) == 2
 
 
 def test_negative_size_exit_2(capsys):
     assert run(["verify", "sylvester", "--m", "-1"]) == 2
     assert "nonnegative" in capsys.readouterr().err
     assert run(["wreath", "facts", "-n", "-1"]) == 2
+
+
+_TOWER = {"kind": "finite", "p": 3, "degrees": [1, 2]}
+
+
+def _defect_torus(backend=_TOWER, sigma="frob^1", **facet):
+    return {
+        "backend": backend,
+        "facets": [{"id": "f", "label": 1, "boundary": ["c1", "c2"], **facet}],
+        "seams": [{"kind": "defect", "sigma": sigma,
+                   "source": ["f", "c1"], "target": ["f", "c2"]}],
+    }
+
+
+_MALFORMED_SURFACES = {
+    "facet without id": {"backend": _TOWER, "seams": [],
+                         "facets": [{"genus": 0, "boundary": []}]},
+    "facet is a list": {"backend": _TOWER, "facets": [["f"]], "seams": []},
+    "seam without kind": {
+        "backend": _TOWER, "facets": [{"id": "f", "boundary": ["a", "b"]}],
+        "seams": [{"ends": [["f", "a"], ["f", "b"]]}]},
+    "defect seam without source": {
+        "backend": _TOWER, "facets": [{"id": "f", "boundary": ["a", "b"]}],
+        "seams": [{"kind": "defect", "sigma": "frob^1", "target": ["f", "b"]}]},
+    "root sigma on a finite tower": _defect_torus(sigma={"root": "-x"}),
+    "backend is a number": {"backend": 3, "facets": [], "seams": []},
+    "dot is not a string": _defect_torus(dots=[5]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED_SURFACES))
+def test_malformed_surface_exit_2(name, tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(_MALFORMED_SURFACES[name]))
+    assert run(["--json", "tqft", "eval", "--surface", str(path)]) == 2
+
+
+def test_float_in_table_backend_exit_2(tmp_path, capsys):
+    # 0.1 is a binary fraction in JSON; a table backend takes only exact numbers
+    doc = {"backend": {**NILPOTENT_BACKEND, "trace": [0, 0, 0, 0.1]},
+           "facets": [{"id": "f", "label": "A", "boundary": []}], "seams": []}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert run(["tqft", "eval", "--surface", str(path)]) == 2
+    assert "0.1" in capsys.readouterr().err
+
+
+def test_threads_flag_is_gone():
+    assert run(["--threads", "2", "suite", "smoke"]) == 2
+
+
+def test_readme_commands_parse():
+    import shlex
+    from pathlib import Path
+
+    from foamlib.cli import build_parser
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1]
+    lines = [line.split("#", 1)[0].strip() for line in block.split("```", 1)[0].splitlines()]
+    commands = [line for line in lines if line.startswith("foamlib ")]
+    assert len(commands) >= 10
+    parser = build_parser()
+    for line in commands:
+        parser.parse_args(shlex.split(line)[1:])
+
+
+def test_zero_denominator_in_polynomial_exit_2(capsys):
+    assert run(["mf", "trace", "--f", "x^2-2", "--p", "1/0"]) == 2
+    assert "nonzero" in capsys.readouterr().err

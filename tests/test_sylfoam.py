@@ -243,45 +243,148 @@ def test_dksv_diagrams_match_formula():
 
 # ------------------------------------------- dense engine cross-validation
 
-def test_fraction_free_sum_matches_reference():
-    # the packed-exponent engine against a naive MultiPoly reference, on
-    # term families whose sums genuinely clear their denominators
-    from foamlib.sylfoam import sylvester_terms, vandermonde_factors
+def _vandermonde(alphabets):
+    from foamlib.sylfoam import vandermonde_factors
 
-    def reference(terms, alphabets):
-        delta = MultiPoly.one()
-        factors = []
-        for vs in alphabets:
-            factors.extend(vandermonde_factors(vs))
-        for u, v in factors:
+    delta = MultiPoly.one()
+    for vs in alphabets:
+        for u, v in vandermonde_factors(vs):
             delta = delta * (MultiPoly.var(u) - MultiPoly.var(v))
-        total = MultiPoly.zero()
-        for term in terms:
-            cof = delta
-            for u, v in term.den:
-                cof = cof.divexact_linear(u, v)
-            num = cof
-            for p in term.polys:
-                num = num * p
-            for u, v in term.lin:
-                num = num * (MultiPoly.var(u) - MultiPoly.var(v))
-            total = total + num
+    return delta
+
+
+def _cleared_reference(terms, alphabets):
+    """The sum of the terms times V, with MultiPoly `*` and `-` only.
+
+    A term times V is sign * cof * prod polys * prod lin: cof multiplies
+    the factors of V missing from the denominator, and sign is -1 per
+    denominator factor written (v, u) against V's (u, v).  Nothing is
+    divided, so no synthetic division is shared with the engine.
+    """
+    from foamlib.sylfoam import vandermonde_factors
+
+    factors = [f for vs in alphabets for f in vandermonde_factors(vs)]
+    total = MultiPoly.zero()
+    for term in terms:
+        den = set(term.den)
+        num = MultiPoly.one()
+        negative = False
         for u, v in factors:
-            total = total.divexact_linear(u, v)
-        return total
+            if (v, u) in den:
+                negative = not negative
+            elif (u, v) not in den:
+                num = num * (MultiPoly.var(u) - MultiPoly.var(v))
+        for p in term.polys:
+            num = num * p
+        for u, v in term.lin:
+            num = num * (MultiPoly.var(u) - MultiPoly.var(v))
+        total = total - num if negative else total + num
+    return total
+
+
+def _matches_reference(terms, alphabets):
+    return (fraction_free_sum(terms, alphabets) * _vandermonde(alphabets)
+            == _cleared_reference(terms, alphabets))
+
+
+def test_fraction_free_sum_matches_reference():
+    # the packed-exponent engine against the division-free reference, on
+    # term families whose sums genuinely clear their denominators
+    from foamlib.sylfoam import sylvester_terms
 
     for m, n, p, q in [(2, 2, 1, 1), (3, 2, 2, 0), (3, 3, 1, 2)]:
         A, B = alphabet("A", m), alphabet("B", n)
         deltas = [A.variables, B.variables]
         terms = list(sylvester_terms(A, B, p, q))
-        assert fraction_free_sum(terms, deltas) == reference(terms, deltas)
+        assert _matches_reference(terms, deltas)
+        # the reference notices a dropped term
+        assert (fraction_free_sum(terms, deltas) * _vandermonde(deltas)
+                != _cleared_reference(terms[1:], deltas))
 
     for m, d in [(3, 1), (4, 2)]:
         A, X = alphabet("A", m), alphabet("X", m - d)
         _, rhs = chen_louck_sides(A, X, d, esym(slots(m - d), m - d))
-        terms = list(rhs())
-        assert fraction_free_sum(terms, [A.variables]) == \
-            reference(terms, [A.variables])
+        assert _matches_reference(list(rhs()), [A.variables])
+
+    A, B, X = alphabet("A", 3), alphabet("B", 3), alphabet("X", 2)
+    lhs, rhs = exchange_sides_terms(A, B, X, 2)
+    assert _matches_reference(list(lhs()), [A.variables])
+    assert _matches_reference(list(rhs()), [B.variables])
+
+
+def test_dense_division_is_loud():
+    from foamlib.sylfoam import _dense_divexact_linear, _to_dense
+
+    shift_of = {"u": 0, "v": 8}
+    u, v = MultiPoly.var("u"), MultiPoly.var("v")
+    exact = _to_dense((u - v) * (u * u + v), shift_of)
+    assert _dense_divexact_linear(exact, 0, 8, 255) == _to_dense(u * u + v, shift_of)
+    with pytest.raises(ArithmeticError):
+        _dense_divexact_linear(_to_dense(u * u + v, shift_of), 0, 8, 255)
+
+
+def _symmetrized_term_sets():
+    """Term sets over one or two alphabets whose sums are polynomials.
+
+    Each drawn term has distinct Vandermonde factors as its denominator,
+    in either orientation, plus linear and small MultiPoly factors over
+    the alphabets and a spectator x.  Summing its images under every
+    permutation of each alphabet gives (antisymmetrized numerator) / V,
+    which is a polynomial.
+    """
+    import itertools
+    from fractions import Fraction
+
+    from hypothesis import strategies as st
+
+    from foamlib.sylfoam import Term, vandermonde_factors
+
+    def over(alphabets):
+        names = [v for vs in alphabets for v in vs] + ["x"]
+        factors = [f for vs in alphabets for f in vandermonde_factors(vs)]
+        pair = st.tuples(st.sampled_from(names), st.sampled_from(names)).filter(
+            lambda uv: uv[0] != uv[1])
+        den = st.lists(st.tuples(st.sampled_from(factors), st.booleans()),
+                       max_size=len(factors), unique_by=lambda fb: fb[0]).map(
+            lambda fbs: tuple((v, u) if flip else (u, v) for (u, v), flip in fbs))
+        coeff = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
+        mono = st.lists(st.tuples(st.sampled_from(names), st.integers(1, 2)),
+                        max_size=2, unique_by=lambda ve: ve[0]).map(
+            lambda ms: tuple(sorted(ms)))
+        poly = st.dictionaries(mono, coeff, max_size=2).map(MultiPoly)
+        term = st.builds(Term, st.lists(poly, max_size=2).map(tuple),
+                         st.lists(pair, max_size=3).map(tuple), den)
+
+        flat = [v for vs in alphabets for v in vs]
+        perms = [dict(zip(flat, itertools.chain(*images)))
+                 for images in itertools.product(
+                     *[itertools.permutations(vs) for vs in alphabets])]
+
+        def rename(pairs, sigma):
+            return tuple((sigma.get(u, u), sigma.get(v, v)) for u, v in pairs)
+
+        def symmetrize(base):
+            return [Term(tuple(p.subs_vars(sigma) for p in t.polys),
+                         rename(t.lin, sigma), rename(t.den, sigma))
+                    for t in base for sigma in perms]
+
+        return st.lists(term, min_size=1, max_size=2).map(symmetrize).map(
+            lambda terms: (terms, alphabets))
+
+    return st.one_of(over([("a1", "a2", "a3")]),
+                     over([("a1", "a2"), ("b1", "b2")]))
+
+
+def test_fraction_free_sum_matches_reference_on_random_terms():
+    from hypothesis import given, settings
+
+    @settings(max_examples=60, deadline=None)
+    @given(_symmetrized_term_sets())
+    def check(case):
+        terms, alphabets = case
+        assert _matches_reference(terms, alphabets)
+
+    check()
 
 
 # --------------------------------------- diagram families at larger sizes
