@@ -268,10 +268,11 @@ def NumberField(f: UniPoly, name: str | None = None) -> ExtField:
 
 
 def roots_in_extension(f: UniPoly, m: int) -> list:
-    """All roots of f (over Z/p) in GF(p^m), in deterministic order.
+    """All roots of f (over Z/p) in GF(p^m), sorted by coefficient tuple.
 
-    Returns elements of GF(p, m) found by exhaustive search, sorted by
-    coefficient tuple.  Desk-scale by design: p^m must stay enumerable.
+    The distinct roots are the linear factors of g = gcd(f, x^q - x),
+    q = p^m, split apart deterministically by the trace map (see
+    `_split_linear`); no element of GF(p^m) is enumerated.
     """
     if not isinstance(f.dom, Zmod):
         raise ValueError("roots_in_extension expects a polynomial over Z/p")
@@ -282,7 +283,49 @@ def roots_in_extension(f: UniPoly, m: int) -> list:
 def _roots_cached(f: UniPoly, m: int) -> tuple:
     p = f.dom.p
     field = GF(p, m)
-    lifted = UniPoly(field, [field.of(c) for c in f.coeffs])
-    roots = [a for a in field.elements() if field.is_zero(lifted.eval(a))]
+    if f.is_zero():
+        return tuple(field.elements())
+    # g has coefficients in Z/p, so it is found there; only splitting it
+    # needs the arithmetic of GF(p^m)
+    x = UniPoly.x(f.dom)
+    g = poly_gcd(f, poly_powmod(x, field.size(), f) - x)
+    lifted = UniPoly(field, [field.of(c) for c in g.coeffs])
+    roots = [field.neg(h.coeff(0)) for h in _split_linear(lifted, field)]
     roots.sort()
     return tuple(roots)
+
+
+def _split_linear(g: UniPoly, field: ExtField) -> list:
+    """The monic linear factors of g, a product of distinct ones over field.
+
+    For b in the power basis, T = Tr(b*x) mod g, with Tr(y) = sum_{i<m}
+    y^(p^i), interpolates the GF(p)-values Tr(b*r) at the roots r of g.
+    The trace form is nondegenerate, so any two roots get different values
+    at some b, and there T is not constant.  Such a T gives a splitter s,
+    zero at some roots of g and not at others, and gcd(g, s) is a proper
+    factor.  For p = 2, s = T.  For odd p, s = (T + t)^((p-1)/2) - 1 for
+    some t in GF(p): s(r) = 0 iff T(r) + t is a nonzero square, and as the
+    nonzero squares are not closed under adding a nonzero d, some t tells
+    two different values apart.
+    """
+    if g.degree <= 1:
+        return [g] if g.degree == 1 else []
+    p, m = field.char, field.degree
+    one = UniPoly.one(field)
+    for j in range(m):
+        b = field.from_coeffs([0] * j + [1])
+        y = tr = poly_mod(UniPoly(field, (field.zero, b)), g)
+        for _ in range(m - 1):
+            y = poly_powmod(y, p, g)
+            tr = tr + y
+        if tr.degree < 1:
+            continue
+        splitters = [tr] if p == 2 else (
+            poly_powmod(tr + one.scale(field.of(t)), (p - 1) // 2, g) - one
+            for t in range(p))
+        for s in splitters:
+            d = poly_gcd(g, s)
+            if 0 < d.degree < g.degree:
+                return (_split_linear(d, field)
+                        + _split_linear(poly_divmod(g, d)[0], field))
+    raise ArithmeticError("g is not a product of distinct linear factors")

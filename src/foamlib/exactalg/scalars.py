@@ -78,6 +78,8 @@ class Zmod:
 
     def of(self, v) -> int:
         if isinstance(v, Fraction):
+            if v.denominator % self.p == 0:
+                raise ValueError(f"{v} has no residue mod {self.p}")
             return (v.numerator * self.inv(v.denominator % self.p)) % self.p
         return int(v) % self.p
 

@@ -195,15 +195,18 @@ def poly_divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
     dom = a.dom
     rem = list(a.coeffs)
     db = b.degree
-    inv_lead = dom.inv(b.leading())
+    monic = b.leading() == dom.one
+    inv_lead = None if monic else dom.inv(b.leading())
+    low = b.coeffs[:db]
     quot = [dom.zero] * max(len(rem) - db, 0)
     for i in range(len(rem) - 1, db - 1, -1):
         c = rem[i]
         if dom.is_zero(c):
             continue
-        q = dom.mul(c, inv_lead)
+        q = c if monic else dom.mul(c, inv_lead)
         quot[i - db] = q
-        for j, cb in enumerate(b.coeffs):
+        # rem[i] becomes zero and is not read again
+        for j, cb in enumerate(low):
             rem[i - db + j] = dom.sub(rem[i - db + j], dom.mul(q, cb))
     return UniPoly(dom, quot), UniPoly(dom, rem[:db])
 
@@ -220,14 +223,17 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
 
 
 def poly_powmod(base: UniPoly, e: int, modulus: UniPoly) -> UniPoly:
-    result = UniPoly.one(base.dom)
+    if e == 0:
+        return UniPoly.one(base.dom)
     base = poly_mod(base, modulus)
-    while e:
+    result = None
+    while True:
         if e & 1:
-            result = poly_mod(result * base, modulus)
-        base = poly_mod(base * base, modulus)
+            result = base if result is None else poly_mod(result * base, modulus)
         e >>= 1
-    return result
+        if not e:
+            return result
+        base = poly_mod(base * base, modulus)
 
 
 def companion_trace(p: UniPoly, f: UniPoly):

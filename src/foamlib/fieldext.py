@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactalg.ffield import ExtField, GF, NumberField
+from .exactalg.ffield import ExtField, GF, NumberField, roots_in_extension
 from .exactalg.linalg import mat_inverse, solve
 from .exactalg.multipoly import parse_poly, parse_unipoly
 from .exactalg.scalars import QQ_DOMAIN, zmod
@@ -347,9 +347,8 @@ class FiniteFieldTower(FrobeniusBackend):
 
     @staticmethod
     def _embed_generator(lo: ExtField, hi: ExtField):
-        """Deterministic root of lo's modulus inside hi."""
-        lifted = UniPoly(hi, [hi.of(c) for c in lo.modulus.coeffs])
-        roots = sorted(a for a in hi.elements() if hi.is_zero(lifted.eval(a)))
+        """Deterministic root of lo's modulus inside hi: the smallest one."""
+        roots = roots_in_extension(lo.modulus, hi.degree)
         if not roots:
             raise BackendError("no root found for tower embedding")
         return roots[0]

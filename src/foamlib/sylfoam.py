@@ -6,9 +6,12 @@ three-alphabet partition identity) are handled in two ways sharing one
 term representation:
 
   * symbolically: every denominator divides the product of Vandermonde
-    determinants of the alphabets involved, so each term is multiplied by
-    the exact cofactor, summed, and the Vandermonde divided back out with
-    exact linear divisions that raise on nonzero remainder;
+    determinants of the alphabets involved, so the sum is cleared by L,
+    the lcm of the term denominators.  Each term is multiplied by the
+    factors of L its denominator lacks (no term is divided), the linear
+    factors common to every term are held back, the sum is divided by L
+    with exact linear divisions that raise on nonzero remainder, and the
+    common factors are multiplied back in;
   * numerically: terms are kept factored (small polynomials plus lists of
     linear differences) and evaluated at exact rational points, never
     expanding the products.
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -226,36 +230,52 @@ def cleared_degree(terms: Sequence[Term], delta_alphabets: Sequence[Sequence[str
 
 def fraction_free_sum(terms: Iterable[Term],
                       delta_alphabets: Sequence[Sequence[str]]) -> MultiPoly:
-    """Exact sum of terms whose denominators divide the Vandermonde product."""
+    """Exact sum of terms whose denominators divide the Vandermonde product.
+
+    The sum is cleared by L, the lcm of the term denominators: the product
+    of the distinct denominator factors, each kept in the orientation of
+    its first occurrence.  Each term starts from +-1 (-1 per denominator
+    factor written against L), is multiplied by the factors of L its own
+    denominator lacks, by its polys and by its linear factors other than
+    C, the linear factors shared by every term that are not factors of L.
+    No term is divided.  The sum is divided exactly by the factors of L
+    (raising on a nonzero remainder) and the quotient multiplied by C;
+    C is coprime to L, so a polynomial sum stays one without it.
+    """
     terms = list(terms)
     names = _collect_variables(terms, delta_alphabets)
-    # every product below has total degree at most the cleared degree
+    # checks every denominator against V; L divides V, so no product below
+    # exceeds the cleared degree
     width = max(_MIN_WIDTH, cleared_degree(terms, delta_alphabets).bit_length())
     mask = (1 << width) - 1
     shift_of = {nm: width * i for i, nm in enumerate(names)}
 
-    all_factors = [
-        (shift_of[u], shift_of[v])
-        for vs in delta_alphabets
-        for (u, v) in vandermonde_factors(vs)
-    ]
-    delta = {0: 1}
-    for su, sv in all_factors:
-        delta = _dense_mul_linear(delta, su, sv)
+    lcm: dict[frozenset, tuple[str, str]] = {}
+    for term in terms:
+        for f in term.den:
+            lcm.setdefault(frozenset(f), f)
+    common = Counter(terms[0].lin) if terms else Counter()
+    for term in terms[1:]:
+        common &= Counter(term.lin)
+    common = Counter({f: k for f, k in common.items() if frozenset(f) not in lcm})
 
     acc: dict[int, object] = {}
     for term in terms:
-        cur = delta
-        for u, v in term.den:
-            cur = _dense_divexact_linear(cur, shift_of[u], shift_of[v], mask)
+        den = {frozenset(f) for f in term.den}
+        cur = {0: (-1) ** sum(f != lcm[frozenset(f)] for f in term.den)}
+        for key, (u, v) in lcm.items():
+            if key not in den:
+                cur = _dense_mul_linear(cur, shift_of[u], shift_of[v])
         for p in term.polys:
             cur = _dense_mul(cur, _to_dense(p, shift_of))
-        for u, v in term.lin:
+        for u, v in (Counter(term.lin) - common).elements():
             cur = _dense_mul_linear(cur, shift_of[u], shift_of[v])
         for k, c in cur.items():
             acc[k] = acc.get(k, 0) + c
-    for su, sv in all_factors:
-        acc = _dense_divexact_linear(acc, su, sv, mask)
+    for u, v in lcm.values():
+        acc = _dense_divexact_linear(acc, shift_of[u], shift_of[v], mask)
+    for u, v in common.elements():
+        acc = _dense_mul_linear(acc, shift_of[u], shift_of[v])
     return _from_dense(acc, names, width)
 
 

@@ -302,3 +302,134 @@ def test_readme_commands_parse():
 def test_zero_denominator_in_polynomial_exit_2(capsys):
     assert run(["mf", "trace", "--f", "x^2-2", "--p", "1/0"]) == 2
     assert "nonzero" in capsys.readouterr().err
+
+
+def test_large_prime_tower_evaluates(tmp_path, capsys):
+    # the tower embedding is a root found by splitting, not by a scan of
+    # all p^2 elements of the upper field
+    doc = {"backend": {"kind": "finite", "p": 10007, "degrees": [1, 2]},
+           "facets": [{"id": "f", "genus": 1, "label": "F", "dots": ["x"],
+                       "boundary": []}],
+           "seams": []}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert run(["--json", "tqft", "eval", "--surface", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]
+
+
+# ------------------------------------------------ fuzzed argv and surfaces
+
+# Small values only: a well-formed command drawn from these runs in well
+# under a second, so the fuzz tests exercise input handling, not big jobs.
+_ARGV_TOKENS = [
+    "tqft", "eval", "verify", "sylvester", "exchange", "chenlouck", "dksv",
+    "mf", "trace", "hessian", "backend", "wreath", "facts", "classes",
+    "d4-table", "oor", "web", "qmoy", "decompose", "suite", "bogus",
+    "--json", "--seed", "--surface", "--backend", "--both", "--m", "--n",
+    "--p", "--q", "--d", "--size-x", "--size-e", "--f", "--mode", "--trials",
+    "--char", "-n", "--N", "--parts", "--threads", "-h",
+    "symbolic", "grid", "random", "-1", "0", "1", "2", "x", "1/2", "1/0", "",
+    "x^2-2", "x^3+x+1", "x^", "s1+s2", "1,1", "1,,1", "a,b", "/nonexistent",
+    "--m=-2", "--f=x^2", "\x00", "é",
+]
+
+
+_ARGV_PREFIXES = [
+    [], ["--json"], ["verify", "sylvester"], ["verify", "exchange"],
+    ["verify", "chenlouck"], ["verify", "dksv"], ["mf", "trace", "--f", "x^2-2"],
+    ["mf", "hessian", "--f", "x^3-x-1"], ["mf", "backend", "--f", "x^2-2"],
+    ["wreath", "facts"], ["wreath", "classes"], ["wreath", "oor"],
+    ["web", "qmoy"], ["web", "decompose", "--p", "2"], ["tqft", "eval"],
+]
+
+
+def test_cli_fuzzed_argv_exit_codes(capsys):
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(_ARGV_PREFIXES),
+           st.lists(st.sampled_from(_ARGV_TOKENS), max_size=6))
+    def check(prefix, tail):
+        assert run(prefix + tail) in (0, 1, 2)
+
+    check()
+
+
+_VALID_SURFACES = [
+    {"backend": {"kind": "finite", "p": 3, "degrees": [1, 2]},
+     "facets": [{"id": "f1", "genus": 1, "label": "F", "dots": ["x"],
+                 "boundary": ["c1", "c2"]}],
+     "seams": [{"kind": "defect", "sigma": "frob^1",
+                "source": ["f1", "c1"], "target": ["f1", "c2"]}]},
+    {"backend": {"kind": "numberfield", "f": "x^2-2", "roots": ["x", "-x"]},
+     "facets": [{"id": "a", "label": 1, "dots": ["x"], "boundary": ["c"]},
+                {"id": "b", "label": 0, "boundary": ["c"]}],
+     "seams": [{"kind": "inclusion", "lower": ["b", "c"], "upper": ["a", "c"]}]},
+    {"backend": NILPOTENT_BACKEND,
+     "facets": [{"id": "f", "genus": 0, "label": "A", "dots": ["a"],
+                 "boundary": ["c1", "c2"]}],
+     "seams": [{"kind": "plain", "ends": [["f", "c1"], ["f", "c2"]]}]},
+]
+
+
+def _json_values():
+    from hypothesis import strategies as st
+
+    leaves = (st.none() | st.booleans() | st.integers(-2, 5)
+              | st.sampled_from([0.5, "x", "k", "F", "f1", "c1", "frob^1",
+                                 "plain", "defect", "inclusion", "1/3", ""]))
+    return st.recursive(
+        leaves,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.sampled_from(["id", "kind", "ends", "p", "x"]),
+                          inner, max_size=2),
+        max_leaves=6)
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+def test_cli_fuzzed_surface_exit_codes(tmp_path, capsys):
+    import copy
+
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(_VALID_SURFACES), st.data())
+    def check(base, data):
+        doc = copy.deepcopy(base)
+        for _ in range(data.draw(st.integers(1, 3))):
+            paths = list(_paths(doc))[1:]
+            if not paths:
+                break
+            path = data.draw(st.sampled_from(paths))
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            if data.draw(st.booleans()):
+                parent[path[-1]] = data.draw(_json_values())
+            else:
+                del parent[path[-1]]
+        surface = tmp_path / "s.json"
+        surface.write_text(json.dumps(doc))
+        argv = ["--json", "tqft", "eval", "--surface", str(surface)]
+        assert run(argv) in (0, 1, 2)
+        assert run(argv + ["--both"]) in (0, 1, 2)
+
+    check()
+
+
+def test_fraction_without_residue_exit_2(tmp_path, capsys):
+    # 1/3 has no value in characteristic 3
+    assert run(["mf", "trace", "--char", "3", "--f", "x^2-1/3", "--p", "x"]) == 2
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(_defect_torus(dots=["1/3"])))
+    assert run(["tqft", "eval", "--surface", str(path)]) == 2
+    assert "no residue mod 3" in capsys.readouterr().err

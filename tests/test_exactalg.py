@@ -57,6 +57,26 @@ def test_divmod_by_zero_rejected():
         poly_divmod(f, UniPoly.zero(QQ_DOMAIN))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-4, 4), max_size=7),
+       st.lists(st.integers(-4, 4), min_size=1, max_size=4),
+       st.sampled_from([QQ_DOMAIN, zmod(5), GF(3, 2)]), st.integers(0, 6))
+def test_divmod_and_powmod_against_multiplication(a, b, dom, e):
+    # monic and non-monic divisors over Q, Z/5 and GF(9)
+    from foamlib.exactalg.unipoly import poly_mod, poly_powmod
+
+    a = UniPoly(dom, [dom.of(c) for c in a])
+    b = UniPoly(dom, [dom.of(c) for c in b])
+    if b.is_zero():
+        return
+    q, r = poly_divmod(a, b)
+    assert q * b + r == a and r.degree < b.degree
+    power = UniPoly.one(dom)
+    for _ in range(e):
+        power = power * a
+    assert poly_powmod(a, e, b) == (poly_mod(power, b) if e else UniPoly.one(dom))
+
+
 # ---------------------------------------------------------- irreducibility
 
 def test_irreducible_gf2_quadratic():
@@ -121,6 +141,24 @@ def test_roots_empty_when_absent():
     dom = zmod(2)
     f = UniPoly.from_ints(dom, [1, 1, 1])
     assert roots_in_extension(f, 3) == []
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_roots_match_exhaustive_scan(p):
+    # the first 30 monic f of each degree <= 4 against a scan of GF(p^m),
+    # m <= 4: same roots, same order, a repeated root listed once
+    from itertools import islice
+
+    from foamlib.exactalg.ffield import _candidates
+
+    for m in range(1, 5):
+        field = GF(p, m)
+        for deg in range(5):
+            for f in islice(_candidates(p, deg), 30):
+                lifted = UniPoly(field, [field.of(c) for c in f.coeffs])
+                scan = sorted(a for a in field.elements()
+                              if field.is_zero(lifted.eval(a)))
+                assert roots_in_extension(f, m) == scan, (p, m, f)
 
 
 # --------------------------------------------------------- companion trace

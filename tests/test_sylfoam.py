@@ -323,6 +323,45 @@ def test_dense_division_is_loud():
         _dense_divexact_linear(_to_dense(u * u + v, shift_of), 0, 8, 255)
 
 
+def test_full_sylvester_sum_is_the_bare_product():
+    # p = m, q = n: one term, no denominator, every linear factor common
+    for m, n in [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3)]:
+        A, B = alphabet("A", m), alphabet("B", n)
+        assert sylvester_double_sum(A, B, m, n) == (
+            r_product(A.variables, B.variables) * r_product(["x"], A.variables)
+            * r_product(["x"], B.variables))
+
+
+def test_reversed_denominators_sum_with_signs():
+    # sum_i a_i^k / prod_{j != i} (a_i - a_j) = h_{k-2}(a): the same
+    # factor is written (a_i, a_j) in one term and (a_j, a_i) in another
+    from foamlib.sylfoam import Term
+
+    names = ["a1", "a2", "a3"]
+    for k, expected in [(2, "1"), (3, "a1 + a2 + a3"),
+                        (4, "a1^2 + a2^2 + a3^2 + a1*a2 + a1*a3 + a2*a3")]:
+        terms = [Term((MultiPoly.var(u) ** k,), (),
+                      tuple((u, v) for v in names if v != u)) for u in names]
+        assert fraction_free_sum(terms, [names]) == parse_poly(expected)
+
+
+def test_common_factor_that_is_also_a_denominator():
+    # (a1 - a2) / (a1 - a2) and (a2 - a1) / (a1 - a2), each the only term
+    from foamlib.sylfoam import Term
+
+    one = Term((), (("a1", "a2"),), (("a1", "a2"),))
+    minus_one = Term((), (("a2", "a1"), ("x", "a1")), (("a1", "a2"),))
+    assert fraction_free_sum([one], [("a1", "a2")]) == MultiPoly.one()
+    assert fraction_free_sum([minus_one], [("a1", "a2")]) == parse_poly("a1 - x")
+
+
+def test_sum_that_is_not_a_polynomial_raises():
+    from foamlib.sylfoam import Term
+
+    with pytest.raises(ArithmeticError):
+        fraction_free_sum([Term((), (), (("a1", "a2"),))], [("a1", "a2")])
+
+
 def _symmetrized_term_sets():
     """Term sets over one or two alphabets whose sums are polynomials.
 
@@ -330,7 +369,8 @@ def _symmetrized_term_sets():
     in either orientation, plus linear and small MultiPoly factors over
     the alphabets and a spectator x.  Summing its images under every
     permutation of each alphabet gives (antisymmetrized numerator) / V,
-    which is a polynomial.
+    which is a polynomial.  Up to two further linear factors are shared
+    by every term of a set.
     """
     import itertools
     from fractions import Fraction
@@ -354,6 +394,13 @@ def _symmetrized_term_sets():
         poly = st.dictionaries(mono, coeff, max_size=2).map(MultiPoly)
         term = st.builds(Term, st.lists(poly, max_size=2).map(tuple),
                          st.lists(pair, max_size=3).map(tuple), den)
+        # linear factors put into every term (a spectator y, x or an
+        # alphabet pair, maybe a denominator factor too): the sum gets them
+        # as a common factor
+        shared = st.lists(
+            st.tuples(st.sampled_from(names + ["y"]),
+                      st.sampled_from(names + ["y"])).filter(lambda uv: uv[0] != uv[1]),
+            max_size=2).map(tuple)
 
         flat = [v for vs in alphabets for v in vs]
         perms = [dict(zip(flat, itertools.chain(*images)))
@@ -368,8 +415,11 @@ def _symmetrized_term_sets():
                          rename(t.lin, sigma), rename(t.den, sigma))
                     for t in base for sigma in perms]
 
-        return st.lists(term, min_size=1, max_size=2).map(symmetrize).map(
-            lambda terms: (terms, alphabets))
+        def with_shared(base, common):
+            return [Term(t.polys, t.lin + common, t.den) for t in symmetrize(base)]
+
+        return st.builds(with_shared, st.lists(term, min_size=1, max_size=2),
+                         shared).map(lambda terms: (terms, alphabets))
 
     return st.one_of(over([("a1", "a2", "a3")]),
                      over([("a1", "a2"), ("b1", "b2")]))
