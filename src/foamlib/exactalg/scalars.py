@@ -62,15 +62,47 @@ class QQ:
 QQ_DOMAIN = QQ()
 
 
+# Miller-Rabin on these bases decides primality exactly for every n below
+# the bound (Sorenson and Webster, "Strong pseudoprimes to twelve prime
+# bases", Math. Comp. 86 (2017)).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality for n < PRIME_BOUND; ValueError above it."""
+    if n >= PRIME_BOUND:
+        raise ValueError(f"cannot certify a {len(str(n))}-digit modulus prime: "
+                         f"moduli must be below {PRIME_BOUND}")
+    if n < 2:
+        return False
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class Zmod:
     """The prime field Z/p; elements are ints in range(p)."""
 
     def __init__(self, p: int):
         if p < 2:
             raise ValueError(f"modulus must be >= 2, got {p}")
-        for d in range(2, int(p**0.5) + 1):
-            if p % d == 0:
-                raise ValueError(f"{p} is not prime")
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
         self.p = p
         self.char = p
         self.zero = 0

@@ -257,6 +257,24 @@ def companion_trace(p: UniPoly, f: UniPoly):
     return total
 
 
+def lagrange_basis(dom, points: Sequence) -> list:
+    """e_k of degree < len(points) with e_k(points[j]) = 1 if j == k else 0.
+
+    The points must be pairwise distinct elements of the field dom.  Each
+    e_k is P/(x - points[k]) scaled to 1 at points[k], P the product of
+    all the (x - points[j]).
+    """
+    factors = [UniPoly(dom, (dom.neg(lam), dom.one)) for lam in points]
+    prod = UniPoly.one(dom)
+    for f in factors:
+        prod = prod * f
+    out = []
+    for lam, f in zip(points, factors):
+        q = poly_divmod(prod, f)[0]
+        out.append(q.scale(dom.inv(q.eval(lam))))
+    return out
+
+
 def elementary_symmetric(k: int, values: Sequence, dom=None):
     """The k-th elementary symmetric function of the given field elements.
 

@@ -18,6 +18,23 @@ Three kinds:
   TableAlgebra          an explicit structure-constant algebra with a
                         trace vector; the ground field is QQ or Z/p.
 
+The Galois layer is written once, in FrobeniusBackend: embeddings,
+automorphism_embedding_action, minpoly_over_ground_in_top and
+idempotents.  Each embedding of a level into the splitting field is fixed
+by one root, the image of the level generator, and sends an element to
+its prime-field coefficients evaluated at that root.  A field backend
+supplies only the facts that differ by kind:
+
+  splitting_field()         the top field of a tower; QQ[x]/(f)
+  generator(level)          the level generator (1 for QQ)
+  embedding_roots(level)    G^(q0^s), s < dim, G the generator's image in
+                            the top field; the supplied roots of f
+  prime_coeffs(level, a)    a itself; (a,) for a rational a
+  _pull_back(a, top, 0)     a linear solve; reading off a constant
+
+A table algebra supplies none of them, and its Galois operations raise
+BackendError.
+
 All backends are validated at construction and immutable afterwards;
 every operation is a pure function.
 
@@ -37,7 +54,7 @@ from .exactalg.ffield import ExtField, GF, NumberField, roots_in_extension
 from .exactalg.linalg import mat_inverse, solve
 from .exactalg.multipoly import parse_poly, parse_unipoly
 from .exactalg.scalars import QQ_DOMAIN, zmod
-from .exactalg.unipoly import UniPoly
+from .exactalg.unipoly import UniPoly, companion_trace, lagrange_basis
 
 
 class BackendError(ValueError):
@@ -253,6 +270,47 @@ class FrobeniusBackend:
         except ValueError:
             raise BackendError("automorphism matrix is singular") from None
 
+    # --- Galois layer, written once over the hooks below ------------------
+
+    @property
+    def top(self) -> int:
+        return self.num_levels - 1
+
+    def embeddings(self, level) -> list:
+        """All ground-fixing embeddings of the level into the splitting field.
+
+        Embedding k sends a to its prime-field coefficients evaluated at
+        embedding_roots(level)[k].
+        """
+        level = self.level_index(level)
+        omega = self.splitting_field()
+        return [
+            lambda a, lam=lam: _horner(omega, self.prime_coeffs(level, a), lam)
+            for lam in self.embedding_roots(level)
+        ]
+
+    def automorphism_embedding_action(self, sigma: Automorphism) -> list[int]:
+        """Permutation k -> k' with phi_{k'} = phi_k o sigma."""
+        roots = self.embedding_roots(sigma.level)
+        image = sigma(self.generator(sigma.level))
+        return [roots.index(phi(image)) for phi in self.embeddings(sigma.level)]
+
+    def minpoly_over_ground_in_top(self, level) -> UniPoly:
+        """Minimal polynomial of the level generator over the ground field,
+        with coefficients in the splitting field: prod_k (x - roots[k])."""
+        omega = self.splitting_field()
+        poly = UniPoly.one(omega)
+        for lam in self.embedding_roots(level):
+            poly = poly * UniPoly(omega, [omega.neg(lam), omega.one])
+        return poly
+
+    def idempotents(self, level) -> IdempotentIndex:
+        level = self.level_index(level)
+        omega = self.splitting_field()
+        roots = tuple(self.embedding_roots(level))
+        return IdempotentIndex(level, omega, self.minpoly_over_ground_in_top(level),
+                               roots, tuple(lagrange_basis(omega, roots)))
+
     # --- things subclasses must provide -----------------------------------
 
     def dim(self, level: int) -> int:
@@ -299,10 +357,13 @@ class FrobeniusBackend:
     def relative_trace(self, a, from_level, to_level):
         raise BackendError(f"{self.kind} backend has no relative traces")
 
-    def idempotents(self, level) -> IdempotentIndex:
-        raise BackendError(f"{self.kind} backend has no idempotent index")
+    # Galois hooks: field backends also supply generator(level),
+    # prime_coeffs(level, a) and _pull_back(a, top, 0)
 
-    def embeddings(self, level: int):
+    def splitting_field(self) -> ExtField:
+        raise BackendError(f"{self.kind} backend has no splitting field")
+
+    def embedding_roots(self, level) -> list:
         raise BackendError(f"{self.kind} backend has no embedding enumeration")
 
 
@@ -342,8 +403,6 @@ class FiniteFieldTower(FrobeniusBackend):
             self._gen_images.append(img)
         # cache of (from,to) -> generator image of `from` inside `to`
         self._img_cache: dict[tuple[int, int], object] = {}
-        # pull-back solvers: embedding matrices for consecutive pairs
-        self._emb_matrix: dict[tuple[int, int], list] = {}
 
     @staticmethod
     def _embed_generator(lo: ExtField, hi: ExtField):
@@ -378,9 +437,6 @@ class FiniteFieldTower(FrobeniusBackend):
 
     def add(self, level: int, a, b):
         return self.fields[level].add(a, b)
-
-    def sub(self, level: int, a, b):
-        return self.fields[level].sub(a, b)
 
     def mul(self, level: int, a, b):
         return self.fields[level].mul(a, b)
@@ -430,35 +486,20 @@ class FiniteFieldTower(FrobeniusBackend):
             return self.fields[from_level].gen()
         key = (from_level, to_level)
         if key not in self._img_cache:
-            if to_level == from_level + 1:
-                img = self._gen_images[from_level]
-            else:
-                # embed into the next level, then push that image up
-                mid = from_level + 1
-                img_mid = self._gen_images[from_level]
-                img = self._apply_embedding(mid, to_level, img_mid)
-            self._img_cache[key] = img
+            # embed into the next level, then push that image up
+            self._img_cache[key] = self.include(self._gen_images[from_level],
+                                                from_level + 1, to_level)
         return self._img_cache[key]
 
-    def _apply_embedding(self, from_level: int, to_level: int, a):
-        """Map a in from_level to to_level by evaluating its polynomial."""
-        fld_to = self.fields[to_level]
-        img = self.gen_image(from_level, to_level)
-        acc = fld_to.zero
-        power = fld_to.one
-        for c in a:
-            acc = fld_to.add(acc, fld_to.mul(fld_to.of(c), power))
-            power = fld_to.mul(power, img)
-        return acc
-
     def include(self, a, from_level, to_level):
+        """Map a up the tower by evaluating its polynomial at gen_image."""
         from_level = self.level_index(from_level)
         to_level = self.level_index(to_level)
         if from_level == to_level:
             return a
         if from_level > to_level:
             raise BackendError("inclusion must go up the tower")
-        return self._apply_embedding(from_level, to_level, a)
+        return _horner(self.fields[to_level], a, self.gen_image(from_level, to_level))
 
     def relative_trace(self, a, from_level, to_level):
         """Canonical field trace: sum of the Frobenius-power images."""
@@ -563,73 +604,24 @@ class FiniteFieldTower(FrobeniusBackend):
     def is_identity_automorphism(self, sigma: Automorphism) -> bool:
         return sigma.action % max(self.dim(sigma.level), 1) == 0
 
-    # --- Galois / idempotent data ----------------------------------------
+    # --- Galois hooks ----------------------------------------------------
 
-    @property
-    def top(self) -> int:
-        return self.num_levels - 1
+    def splitting_field(self) -> ExtField:
+        return self.fields[self.top]
 
-    def embeddings(self, level: int):
-        """All ground-fixing embeddings of the level into the top field.
+    def generator(self, level: int):
+        return self.fields[level].gen()
 
-        Returned as callables; embedding s sends a to emb(a)^(q0^s).
-        """
+    def prime_coeffs(self, level: int, a):
+        return a
+
+    def embedding_roots(self, level) -> list:
+        """G^(q0^s) for s < dim(level), G the level generator in the top field."""
         level = self.level_index(level)
         top_field = self.fields[self.top]
         q0 = self.p ** self.degrees[0]
-        count = self.dim(level)
-
-        def make(s):
-            def phi(a):
-                return top_field.power(self._apply_embedding(level, self.top, a), q0**s)
-
-            return phi
-
-        return [make(s) for s in range(count)]
-
-    def embedding_roots(self, level: int) -> list:
-        """Images of the level generator under each embedding (the root index)."""
-        level = self.level_index(level)
-        g = self.fields[level].gen()
-        return [phi(g) for phi in self.embeddings(level)]
-
-    def automorphism_embedding_action(self, sigma: Automorphism) -> list[int]:
-        """Permutation s -> s' with phi_{s'} = phi_s o sigma."""
-        level = sigma.level
-        roots = self.embedding_roots(level)
-        g = self.fields[level].gen()
-        out = []
-        for s, phi in enumerate(self.embeddings(level)):
-            target = phi(sigma(g))
-            out.append(roots.index(target))
-        return out
-
-    def minpoly_over_ground_in_top(self, level: int) -> UniPoly:
-        """Minimal polynomial of the level generator over the ground field,
-        with coefficients mapped into the top field."""
-        omega = self.fields[self.top]
-        roots = self.embedding_roots(level)
-        poly = UniPoly.one(omega)
-        for lam in roots:
-            poly = poly * UniPoly(omega, [omega.neg(lam), omega.one])
-        return poly
-
-    def idempotents(self, level) -> IdempotentIndex:
-        level = self.level_index(level)
-        omega = self.fields[self.top]
-        roots = self.embedding_roots(level)
-        minpoly = self.minpoly_over_ground_in_top(level)
-        polys = []
-        for k, lam_k in enumerate(roots):
-            num = UniPoly.one(omega)
-            den = omega.one
-            for j, lam_j in enumerate(roots):
-                if j == k:
-                    continue
-                num = num * UniPoly(omega, [omega.neg(lam_j), omega.one])
-                den = omega.mul(den, omega.sub(lam_k, lam_j))
-            polys.append(num.scale(omega.inv(den)))
-        return IdempotentIndex(level, omega, minpoly, tuple(roots), tuple(polys))
+        img = self.gen_image(level, self.top)
+        return [top_field.power(img, q0**s) for s in range(self.dim(level))]
 
     # --- parsing / rendering ----------------------------------------------
 
@@ -668,9 +660,8 @@ class RationalNumberField(FrobeniusBackend):
             imgs = []
             seen = set()
             for r in roots:
-                img = self._elem_from_poly(r)
-                check = _eval_poly_in_ext(self.f, self.field, img)
-                if not self.field.is_zero(check):
+                img = self.field.from_poly(r)
+                if not self.field.is_zero(_horner(self.field, self.f.coeffs, img)):
                     raise BackendError(
                         f"supplied root {r.render()} does not satisfy f(r) = 0"
                     )
@@ -685,12 +676,6 @@ class RationalNumberField(FrobeniusBackend):
                     "the root list must contain the generator itself ('x')"
                 )
             self.roots = tuple(imgs)
-
-    def _elem_from_poly(self, p: UniPoly):
-        return _eval_poly_in_ext(p, self.field, self.field.gen())
-
-    def _poly_of(self, a) -> UniPoly:
-        return UniPoly(QQ_DOMAIN, a)
 
     def dim(self, level: int) -> int:
         return 1 if level == 0 else self.f.degree
@@ -713,9 +698,6 @@ class RationalNumberField(FrobeniusBackend):
     def add(self, level: int, a, b):
         return a + b if level == 0 else self.field.add(a, b)
 
-    def sub(self, level: int, a, b):
-        return a - b if level == 0 else self.field.sub(a, b)
-
     def mul(self, level: int, a, b):
         return a * b if level == 0 else self.field.mul(a, b)
 
@@ -730,9 +712,7 @@ class RationalNumberField(FrobeniusBackend):
     def trace_to_ground(self, level: int, a):
         if level == 0:
             return a
-        from .exactalg.unipoly import companion_trace
-
-        return companion_trace(self._poly_of(a), self.f)
+        return companion_trace(UniPoly(QQ_DOMAIN, a), self.f)
 
     def include(self, a, from_level, to_level):
         from_level = self.level_index(from_level)
@@ -774,8 +754,7 @@ class RationalNumberField(FrobeniusBackend):
 
     def apply_automorphism(self, sigma: Automorphism, a):
         self._need_roots()
-        img = self.roots[sigma.action]
-        return _eval_poly_in_ext(self._poly_of(a), self.field, img)
+        return _horner(self.field, a, self.roots[sigma.action])
 
     def compose_automorphisms(self, s1: Automorphism, s2: Automorphism) -> Automorphism:
         g = self.field.gen()
@@ -795,63 +774,35 @@ class RationalNumberField(FrobeniusBackend):
     def is_identity_automorphism(self, sigma: Automorphism) -> bool:
         return self.roots[sigma.action] == self.field.gen()
 
-    def embeddings(self, level: int):
-        level = self.level_index(level)
-        if level == 0:
-            return [lambda a: self.field.of(a)]
-        self._need_roots()
+    def splitting_field(self) -> ExtField:
+        return self.field
 
-        def make(img):
-            def phi(a):
-                return _eval_poly_in_ext(self._poly_of(a), self.field, img)
+    def generator(self, level: int):
+        return self.one(0) if level == 0 else self.field.gen()
 
-            return phi
+    def prime_coeffs(self, level: int, a):
+        return (a,) if level == 0 else a
 
-        return [make(img) for img in self.roots]
-
-    def embedding_roots(self, level: int) -> list:
+    def embedding_roots(self, level) -> list:
         level = self.level_index(level)
         if level == 0:
             return [self.field.one]
         self._need_roots()
         return list(self.roots)
 
-    def automorphism_embedding_action(self, sigma: Automorphism) -> list[int]:
-        g = self.field.gen()
-        roots = list(self.roots)
-        out = []
-        for phi in self.embeddings(1):
-            out.append(roots.index(phi(sigma(g))))
-        return out
-
-    def minpoly_over_ground_in_top(self, level: int) -> UniPoly:
-        return UniPoly(self.field, [self.field.of(c) for c in self.f.coeffs])
-
-    def idempotents(self, level=1) -> IdempotentIndex:
-        level = self.level_index(level)
-        if level == 0:
-            raise BackendError("idempotents are indexed at extension levels")
-        self._need_roots()
-        omega = self.field
-        minpoly = self.minpoly_over_ground_in_top(1)
-        polys = []
-        for k, lam_k in enumerate(self.roots):
-            num = UniPoly.one(omega)
-            den = omega.one
-            for j, lam_j in enumerate(self.roots):
-                if j == k:
-                    continue
-                num = num * UniPoly(omega, [omega.neg(lam_j), omega.one])
-                den = omega.mul(den, omega.sub(lam_k, lam_j))
-            polys.append(num.scale(omega.inv(den)))
-        return IdempotentIndex(1, omega, minpoly, tuple(self.roots), tuple(polys))
+    def _pull_back(self, a, from_level: int, to_level: int):
+        """Invert the inclusion QQ -> F on an element known to be rational."""
+        if from_level == to_level:
+            return a
+        if any(c != 0 for c in a[1:]):
+            raise ValueError("element does not lie in the subfield image")
+        return a[0]
 
     def parse_element(self, level, text: str):
         level = self.level_index(level)
         if level == 0:
             return parse_poly(text).constant_value()
-        poly = parse_unipoly(text, QQ_DOMAIN, var="x")
-        return _eval_poly_in_ext(poly, self.field, self.field.gen())
+        return self.field.from_poly(parse_unipoly(text, QQ_DOMAIN, var="x"))
 
     def render_element(self, level: int, a) -> str:
         if level == 0:
@@ -865,10 +816,12 @@ class RationalNumberField(FrobeniusBackend):
         return out
 
 
-def _eval_poly_in_ext(p: UniPoly, ext: ExtField, at):
-    """Evaluate a ground-coefficient polynomial at an extension element."""
-    acc = ext.zero
-    for c in reversed(p.coeffs):
+def _horner(ext: ExtField, coeffs, at):
+    """sum_i coeffs[i] * at^i in ext, for coefficients in its base field."""
+    if not coeffs:
+        return ext.zero
+    acc = ext.of(coeffs[-1])
+    for c in reversed(coeffs[:-1]):
         acc = ext.add(ext.mul(acc, at), ext.of(c))
     return acc
 
@@ -942,10 +895,6 @@ class TableAlgebra(FrobeniusBackend):
     def add(self, level: int, a, b):
         dom = self.ground
         return tuple(dom.add(x, y) for x, y in zip(a, b))
-
-    def sub(self, level: int, a, b):
-        dom = self.ground
-        return tuple(dom.sub(x, y) for x, y in zip(a, b))
 
     def mul(self, level: int, a, b):
         dom = self.ground

@@ -21,7 +21,8 @@ from fractions import Fraction
 
 from .exactalg.ffield import GF, roots_in_extension
 from .exactalg.scalars import Zmod
-from .exactalg.unipoly import UniPoly, companion_trace, poly_gcd, poly_mod
+from .exactalg.unipoly import (UniPoly, companion_trace, lagrange_basis, poly_gcd,
+                               poly_mod)
 from .fieldext import TableAlgebra
 
 
@@ -134,15 +135,7 @@ def jacobi_idempotent_traces(J: JacobiAlgebra, splitting_degree: int):
     fp_ext = UniPoly(ext, [ext.of(c) for c in J.f.derivative().coeffs])
     n = J.dimension
     out = []
-    for k, lam_k in enumerate(roots):
-        num = UniPoly.one(ext)
-        den = ext.one
-        for j, lam_j in enumerate(roots):
-            if j == k:
-                continue
-            num = num * UniPoly(ext, [ext.neg(lam_j), ext.one])
-            den = ext.mul(den, ext.sub(lam_k, lam_j))
-        e_k = num.scale(ext.inv(den))
+    for lam_k, e_k in zip(roots, lagrange_basis(ext, roots)):
         # coefficient-extraction trace of e_k in the extension
         tr_coeff = poly_mod(e_k, f_ext).coeff(n - 1)
         tr_resid = ext.inv(fp_ext.eval(lam_k))

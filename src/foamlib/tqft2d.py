@@ -201,7 +201,7 @@ def evaluate_neck(s: DecoratedSurface, dual_pairs=None):
 
     ins0, ins1 = {}, {}
     for i, seam in enumerate(s.seams):
-        a, b = _seam_insertions_cached(s, seam, be)
+        a, b = _seam_insertions(s, seam, be)
         ins0[i] = a
         ins1[i] = b
 
@@ -268,7 +268,7 @@ class _with_dual_override:
         return getattr(self._backend, name)
 
 
-def _seam_insertions_cached(s, seam, be):
+def _seam_insertions(s, seam, be):
     if seam.kind == "plain":
         level = s.facet(seam.end0[0]).level
         pair = be.dual_bases(level)
@@ -298,40 +298,30 @@ def evaluate_coloring(s: DecoratedSurface):
             "coloring evaluation needs a separable field backend "
             f"(got {be.kind})"
         )
+    omega = be.splitting_field()
 
-    if isinstance(be, FiniteFieldTower):
-        omega = be.fields[be.top]
-        ground_of = lambda v: _tower_pull_to_ground(be, v)  # noqa: E731
-    else:
-        omega = be.field
-        ground_of = lambda v: _nf_pull_to_ground(be, v)  # noqa: E731
+    embeddings = {lv: be.embeddings(lv) for lv in {f.level for f in s.facets}}
+    index_of = {f.id: i for i, f in enumerate(s.facets)}
 
-    levels = sorted({f.level for f in s.facets})
-    embeddings = {lv: be.embeddings(lv) for lv in levels}
-
-    # constraint tables
-    defect_tables = {}
-    incl_tables = {}
-    for i, seam in enumerate(s.seams):
-        if seam.kind == "defect":
-            defect_tables[i] = be.automorphism_embedding_action(seam.sigma)
-        elif seam.kind == "inclusion":
-            lo = s.facet(seam.end0[0]).level
-            hi = s.facet(seam.end1[0]).level
-            if be.dim(lo) == 1:
-                incl_tables[i] = [0] * len(embeddings[hi])
-                continue
+    # per facet pair, the checks color(a), color(b) -> bool of its seams
+    by_pair: dict[tuple[int, int], list] = {}
+    for seam in s.seams:
+        fa, fb = index_of[seam.end0[0]], index_of[seam.end1[0]]
+        if seam.kind == "plain":
+            chk = lambda ca, cb: ca == cb  # noqa: E731
+        elif seam.kind == "defect":
+            t = be.automorphism_embedding_action(seam.sigma)
+            chk = lambda ca, cb, t=t: cb == t[ca]  # noqa: E731
+        else:
+            # the upper coloring restricts to the lower one
+            lo, hi = s.facets[fa].level, s.facets[fb].level
             lo_roots = be.embedding_roots(lo)
-            glo = _level_generator(be, lo)
-            table = []
-            for phi in embeddings[hi]:
-                img = phi(be.include(glo, lo, hi))
-                table.append(lo_roots.index(img))
-            incl_tables[i] = table
+            glo = be.include(be.generator(lo), lo, hi)
+            t = [lo_roots.index(phi(glo)) for phi in embeddings[hi]]
+            chk = lambda ca, cb, t=t: t[cb] == ca  # noqa: E731
+        by_pair.setdefault((fa, fb), []).append(chk)
 
     # dot products per facet, embedded lazily
-    facet_ids = [f.id for f in s.facets]
-    index_of = {fid: i for i, fid in enumerate(facet_ids)}
     dot_products = []
     for f in s.facets:
         prod = be.one(f.level)
@@ -339,27 +329,6 @@ def evaluate_coloring(s: DecoratedSurface):
             prod = be.mul(f.level, prod, d)
         dot_products.append(prod)
 
-    constraints = []  # (facet_a, facet_b, checker(ca, cb) -> bool)
-    for i, seam in enumerate(s.seams):
-        fa, fb = index_of[seam.end0[0]], index_of[seam.end1[0]]
-        if seam.kind == "plain":
-            constraints.append((fa, fb, lambda ca, cb: ca == cb))
-        elif seam.kind == "defect":
-            table = defect_tables[i]
-            constraints.append(
-                (fa, fb, lambda ca, cb, t=table: cb == t[ca])
-            )
-        else:
-            table = incl_tables[i]
-            constraints.append(
-                (fa, fb, lambda ca, cb, t=table: t[cb] == ca)
-            )
-
-    by_pair: dict[tuple[int, int], list] = {}
-    for fa, fb, chk in constraints:
-        by_pair.setdefault((fa, fb), []).append(chk)
-
-    dims = [be.dim(f.level) for f in s.facets]
     total = omega.zero
     assignment = [0] * len(s.facets)
 
@@ -369,51 +338,21 @@ def evaluate_coloring(s: DecoratedSurface):
             total = omega.add(total, partial)
             return
         f = s.facets[pos]
-        for c in range(dims[pos]):
+        for c in range(be.dim(f.level)):
             assignment[pos] = c
-            ok = True
-            for (fa, fb), chks in by_pair.items():
-                if max(fa, fb) != pos:
-                    continue
-                for chk in chks:
-                    if not chk(assignment[fa], assignment[fb]):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
-            phi = embeddings[f.level][c]
-            weight = phi(dot_products[pos])
-            recurse(pos + 1, omega.mul(partial, weight))
+            if all(chk(assignment[fa], assignment[fb])
+                   for (fa, fb), chks in by_pair.items() if max(fa, fb) == pos
+                   for chk in chks):
+                weight = embeddings[f.level][c](dot_products[pos])
+                recurse(pos + 1, omega.mul(partial, weight))
 
     recurse(0, omega.one)
-    return ground_of(total)
-
-
-def _level_generator(be, level):
-    if isinstance(be, FiniteFieldTower):
-        return be.fields[level].gen()
-    if level == 0:
-        return be.one(0)
-    return be.field.gen()
-
-
-def _tower_pull_to_ground(be: FiniteFieldTower, v):
     try:
-        return be._pull_back(v, be.top, 0)
+        return be._pull_back(total, be.top, 0)
     except ValueError:
         raise SurfaceError(
             "coloring evaluation produced a value outside the ground field"
         ) from None
-
-
-def _nf_pull_to_ground(be: RationalNumberField, v):
-    if any(c != 0 for c in v[1:]):
-        raise SurfaceError(
-            "coloring evaluation produced a value outside the ground field"
-        )
-    return v[0]
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +617,7 @@ def parse_sigma(backend, spec) -> Automorphism:
     {"matrix": [[...]]} -- kind-dependent."""
     if isinstance(spec, str):
         if spec == "id":
-            return backend.identity_automorphism(getattr(backend, "top", 0))
+            return backend.identity_automorphism(backend.top)
         if spec.startswith("frob^"):
             if not isinstance(backend, FiniteFieldTower):
                 raise SurfaceError("frob^k needs a finite tower backend")
@@ -690,11 +629,8 @@ def parse_sigma(backend, spec) -> Automorphism:
                 raise SurfaceError("{'root': ...} needs a number field backend")
             if not isinstance(spec["root"], str):
                 raise SurfaceError(f"a root must be a polynomial string, got {spec['root']!r}")
-            from .exactalg.multipoly import parse_unipoly
-            from .exactalg.scalars import QQ_DOMAIN
-
             backend._need_roots()
-            img = backend._elem_from_poly(parse_unipoly(spec["root"], QQ_DOMAIN))
+            img = backend.parse_element(1, spec["root"])
             if img not in backend.roots:
                 raise SurfaceError(f"{spec['root']!r} is not one of the supplied roots")
             return backend.automorphism_by_root(backend.roots.index(img))

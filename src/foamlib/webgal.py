@@ -190,12 +190,6 @@ class WebDecomposition:
     factors: tuple[tuple[int, int], ...]
     total_dimension: int
 
-    def degrees(self) -> list[int]:
-        out = []
-        for deg, mult in self.factors:
-            out.extend([deg] * mult)
-        return out
-
 
 def _ordered_partitions(items: tuple, sizes: tuple[int, ...]):
     if not sizes:
@@ -230,8 +224,7 @@ def _orbits(points: list, generators: list[dict]) -> list[list]:
     return orbits
 
 
-def web_decomposition_from_action(N: int, parts, generators: list[dict],
-                                  group_order: int | None = None) -> WebDecomposition:
+def web_decomposition_from_action(N: int, parts, generators: list[dict]) -> WebDecomposition:
     """Orbit decomposition given the Galois action on abstract roots 0..N-1."""
     comp = parts if isinstance(parts, Composition) else Composition(tuple(parts))
     if comp.total != N:
@@ -268,7 +261,7 @@ def web_decomposition(f: UniPoly, parts) -> WebDecomposition:
     N = f.degree
     # roots are one Frobenius orbit: lambda, lambda^p, ..., cyclically
     frob = {i: (i + 1) % N for i in range(N)}
-    return web_decomposition_from_action(N, parts, [frob], group_order=N)
+    return web_decomposition_from_action(N, parts, [frob])
 
 
 def validated_root_permutations(f: UniPoly, roots: list[UniPoly],

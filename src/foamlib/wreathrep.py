@@ -402,6 +402,8 @@ def epm_idempotent_check(n: int) -> dict:
 
 def conjugacy_classes(n: int) -> list[list[tuple]]:
     """Orbit refinement under generator conjugation; no full table built."""
+    if n > 4:
+        raise ValueError("full enumeration is desk-scale only (n <= 4)")
     elems = all_elements(n)
     gens = generators(n)
     gen_invs = [p_inverse(g) for g in gens]

@@ -234,6 +234,21 @@ def test_negative_size_exit_2(capsys):
     assert run(["wreath", "facts", "-n", "-1"]) == 2
 
 
+@pytest.mark.parametrize("action", ["classes", "oor"])
+def test_wreath_enumeration_beyond_n4_exit_2(action, capsys):
+    # G(5) has 2^31 elements; the enumeration is refused, not attempted
+    assert run(["wreath", action, "-n", "5"]) == 2
+    assert "n <= 4" in capsys.readouterr().err
+
+
+def test_huge_characteristic_exit_2(capsys):
+    assert run(["mf", "trace", "--char", str(10**400), "--f", "x^2+1", "--p", "x"]) == 2
+    assert "below" in capsys.readouterr().err
+    # a large prime is certified at once, not by trial division
+    assert run(["mf", "trace", "--char", "1000000000000000003",
+                "--f", "x^2+1", "--p", "x"]) == 0
+
+
 _TOWER = {"kind": "finite", "p": 3, "degrees": [1, 2]}
 
 

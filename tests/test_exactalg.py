@@ -319,3 +319,35 @@ def test_gf_inverse_everywhere():
         if k9.is_zero(a):
             continue
         assert k9.mul(a, k9.inv(a)) == k9.one
+
+
+def test_is_prime_agrees_with_trial_division():
+    from foamlib.exactalg.scalars import is_prime
+
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(10**4) if is_prime(n) != trial(n)] == []
+
+
+def test_zmod_refuses_pseudoprimes_and_takes_large_primes():
+    import time
+
+    # Carmichael numbers (211 * 421 * 631 is prime to every base, so only
+    # the strong test refuses it), and a strong pseudoprime to 2, 3, 5, 7
+    for n in (561, 211 * 421 * 631, 3215031751):
+        with pytest.raises(ValueError):
+            zmod(n)
+    t0 = time.perf_counter()
+    dom = zmod(2**61 - 1)
+    assert time.perf_counter() - t0 < 0.5
+    assert dom.mul(dom.inv(3), 3) == 1
+
+
+def test_zmod_refuses_moduli_beyond_the_exact_test():
+    from foamlib.exactalg.scalars import PRIME_BOUND, Zmod
+
+    # PRIME_BOUND itself is a strong pseudoprime to every base of the test
+    for n in (PRIME_BOUND, 10**400):
+        with pytest.raises(ValueError, match="below"):
+            Zmod(n)

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foamlib.exactalg import UniPoly, parse_unipoly
 from foamlib.exactalg.scalars import QQ_DOMAIN, zmod
@@ -371,6 +373,42 @@ def test_field_trace_of_idempotents_is_one():
         idx = backend.idempotents(level)
         for e in idx.polys:
             assert idx.extended_trace(e) == idx.omega.one
+
+
+GALOIS_BACKENDS = {
+    "GF(3)<GF(9)<GF(81)": FiniteFieldTower(3, [1, 2, 4]),
+    "GF(4)<GF(16)": FiniteFieldTower(2, [2, 4]),
+    "Q(sqrt2)": make_backend({"kind": "numberfield", "f": "x^2-2",
+                              "roots": ["x", "-x"]}),
+    "cyclic cubic": make_backend({"kind": "numberfield", "f": "x^3-3*x+1",
+                                  "roots": ["x", "x^2-2", "-x^2-x+2"]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GALOIS_BACKENDS))
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=15, deadline=None)
+def test_embeddings_are_ground_fixing_homomorphisms(name, seed):
+    be = GALOIS_BACKENDS[name]
+    rng = random.Random(seed)
+    omega = be.splitting_field()
+    for level in range(be.num_levels):
+        embs = be.embeddings(level)
+        roots = be.embedding_roots(level)
+        assert len(embs) == len(roots) == len(set(roots)) == be.dim(level)
+        if isinstance(be, FiniteFieldTower):
+            # G, G^q0, G^(q0^2), ..., G the generator's image in the top field
+            assert roots[0] == be.include(be.generator(level), level, be.top)
+            q0 = be.ground.size()
+            assert all(omega.power(r, q0) == t for r, t in zip(roots, roots[1:]))
+        a, b = be.random_element(level, rng), be.random_element(level, rng)
+        c = be.random_element(0, rng)
+        for phi, lam in zip(embs, roots):
+            assert phi(be.generator(level)) == lam
+            assert phi(be.one(level)) == omega.one
+            assert phi(be.add(level, a, b)) == omega.add(phi(a), phi(b))
+            assert phi(be.mul(level, a, b)) == omega.mul(phi(a), phi(b))
+            assert phi(be.include(c, 0, level)) == be.include(c, 0, be.top)
 
 
 # ----------------------------------------------------------- eps-sigma property

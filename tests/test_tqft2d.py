@@ -2,12 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from foamlib.exactalg import parse_unipoly
+from foamlib.exactalg.scalars import QQ_DOMAIN
 from foamlib.fieldext import (
     FiniteFieldTower,
+    make_backend,
     nilpotent_square_algebra,
     scaling_automorphism,
 )
+from foamlib.mftrace import JacobiAlgebra, as_frobenius_backend
 from foamlib.surfgen import random_surface
 from foamlib.tqft2d import (
     DecoratedSurface,
@@ -32,6 +38,11 @@ from foamlib.tqft2d import (
 TOWER3 = FiniteFieldTower(3, [1, 2, 4])
 TOWER2 = FiniteFieldTower(2, [1, 2])
 QUARTIC = FiniteFieldTower(3, [1, 4])
+CUBIC = make_backend({"kind": "numberfield", "f": "x^3-3*x+1",
+                      "roots": ["x", "x^2-2", "-x^2-x+2"]})
+NILPOTENT = nilpotent_square_algebra()
+# the backend `foamlib mf backend --f x^2-2` emits
+JACOBI_SQRT2 = as_frobenius_backend(JacobiAlgebra(parse_unipoly("x^2-2", QQ_DOMAIN)))
 
 
 # ------------------------------------------------------------------- validate
@@ -149,7 +160,10 @@ def test_evaluator_agreement_nonprime_ground():
         assert evaluate_neck(s) == evaluate_coloring(s)
 
 
-def test_evaluator_agreement_number_field():
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=3)
+@settings(max_examples=10, deadline=None)
+def test_evaluator_agreement_number_field(seed):
     from foamlib.fieldext import make_backend
 
     nf = make_backend({"kind": "numberfield", "f": "x^2-2",
@@ -161,9 +175,18 @@ def test_evaluator_agreement_number_field():
     t_id = torus_with_defect(nf, 1, ident)
     assert evaluate_neck(t_conj) == evaluate_coloring(t_conj) == 0
     assert evaluate_neck(t_id) == evaluate_coloring(t_id) == 2
-    rng = random.Random(3)
+    rng = random.Random(seed)
     for _ in range(15):
         s = random_surface(nf, rng, max_facets=4, max_seams=4)
+        assert evaluate_neck(s) == evaluate_coloring(s)
+    # the cyclic cubic: its Galois group is generated by x -> x^2 - 2
+    for idx in range(3):
+        sig = CUBIC.automorphism_by_root(idx)
+        t = torus_with_defect(CUBIC, 1, sig)
+        want = 3 if sig.is_identity() else 0
+        assert evaluate_neck(t) == evaluate_coloring(t) == want
+    for _ in range(10):
+        s = random_surface(CUBIC, rng, max_facets=4, max_seams=4)
         assert evaluate_neck(s) == evaluate_coloring(s)
 
 
@@ -185,15 +208,19 @@ def test_evaluator_agreement_biquadratic():
 
 # --------------------------------------------------------- invariants
 
-def test_dual_basis_independence():
-    rng = random.Random(5)
-    for _ in range(10):
-        s = random_surface(TOWER3, rng, max_facets=3, max_seams=4)
-        pairs = {
-            lv: TOWER3.randomized_dual_pair(lv, rng)
-            for lv in range(TOWER3.num_levels)
-        }
-        assert evaluate_neck(s) == evaluate_neck(s, dual_pairs=pairs)
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=5)
+@settings(max_examples=6, deadline=None)
+def test_dual_basis_independence(seed):
+    for be in (TOWER3, NILPOTENT, JACOBI_SQRT2):
+        rng = random.Random(seed)
+        for _ in range(10):
+            s = random_surface(be, rng, max_facets=3, max_seams=4)
+            pairs = {
+                lv: be.randomized_dual_pair(lv, rng)
+                for lv in range(be.num_levels)
+            }
+            assert evaluate_neck(s) == evaluate_neck(s, dual_pairs=pairs)
 
 
 def test_defect_composition():
