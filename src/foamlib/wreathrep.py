@@ -12,6 +12,19 @@ done at the permutation level.  Permutations are tuples perm[i] = image
 of i, 0-indexed; printed cycles are 1-indexed to match the usual
 conventions.
 
+The element layer follows the same definition.  G(n) is built once per
+process from G(n-1): first every block a x b (b shifted onto the second
+half of the leaves), then each block composed with beta, which is the
+block (a shifted onto the second half) followed by b.  The result is
+cached per n, so the whole-group passes (conjugacy classes, the center,
+the coset split, the H x H orbits) share one enumeration and work over
+element indices: a table per generator maps each index to the index of
+its conjugate (or product), and orbits are refined over those tables.
+The generating set they use is beta on the leftmost block of each depth,
+n involutions for G(n); doubled onto both halves it gives the 2(n-1)
+generators of H = G(n-1) x G(n-1).  Class counts are always counted as
+orbits of the enumerated group, never read off the recursion.
+
 The dihedral character data for G(2) lives here as an explicit table and
 is verified (orthogonality, restriction to the permutation module, the
 tensor decompositions) rather than derived.
@@ -19,10 +32,11 @@ tensor decompositions) rather than derived.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 
 # ---------------------------------------------------------------------------
@@ -34,8 +48,8 @@ def p_identity(n_points: int) -> tuple:
 
 
 def p_compose(p: tuple, q: tuple) -> tuple:
-    """(p o q)(i) = p(q(i)): q acts first."""
-    return tuple(p[q[i]] for i in range(len(p)))
+    """(p o q)(i) = p(q(i)): q acts first.  On one point both are (0,)."""
+    return itemgetter(*q)(p) if len(q) > 1 else p
 
 
 def p_inverse(p: tuple) -> tuple:
@@ -135,30 +149,74 @@ def from_permutation(n: int, perm: tuple) -> TreeAutomorphism:
     return TreeAutomorphism(n, tuple(bits))
 
 
+@functools.cache
+def _elements(n: int) -> tuple:
+    """G(n) in wreath order: every a x b for a, b in G(n - 1), then the
+    same blocks composed with beta.  Index r*M^2 + i*M + j (M = |G(n-1)|)
+    is beta^r o (G(n-1)[i] x G(n-1)[j])."""
+    if n < 0:
+        raise ValueError("n >= 0")
+    if n == 0:
+        return ((0,),)
+    h = 2 ** (n - 1)
+    low = _elements(n - 1)
+    high = [tuple(i + h for i in p) for p in low]
+    # beta o (a x b) takes the first half by a onto the second, the second by b back
+    blocks = [a + b for a in low for b in high]
+    return tuple(blocks + [a + b for a in high for b in low])
+
+
 def all_elements(n: int) -> list[tuple]:
     """Every element of G(n) as a leaf permutation (2^(2^n - 1) of them)."""
-    out = []
-    for bits in itertools.product((0, 1), repeat=2**n - 1):
-        out.append(to_permutation(TreeAutomorphism(n, bits)))
-    return out
+    return list(_elements(n))
 
 
 def generators(n: int) -> list[tuple]:
-    """Swap generators: one beta per internal node, embedded in S(2^n)."""
-    gens = []
-    size = 2**n
+    """beta on the leftmost block of each depth: n involutions generating G(n).
 
-    def emb(node: int, depth: int, offset: int):
-        if depth == 0:
-            return
-        bits = [0] * (2**n - 1)
-        bits[node] = 1
-        gens.append(to_permutation(TreeAutomorphism(n, tuple(bits))))
-        emb(2 * node + 1, depth - 1, offset)
-        emb(2 * node + 2, depth - 1, offset + 2 ** (depth - 1))
+    G(n) is generated by G(n-1) on the first half together with beta,
+    since beta conjugates the first copy of G(n-1) onto the second.
+    """
+    return [embed_block(beta_perm(k), 2**n, 0) for k in range(n, 0, -1)]
 
-    emb(0, n, 0)
-    return gens
+
+@functools.cache
+def _index(n: int) -> dict:
+    """G(n)[i] -> i over the cached elements (shared: read only)."""
+    return {g: i for i, g in enumerate(_elements(n))}
+
+
+def _index_tables(n: int, maps) -> list[list[int]]:
+    """table[k][i] is the index of maps[k](G(n)[i])."""
+    index = _index(n)
+    return [[index[f(g)] for g in _elements(n)] for f in maps]
+
+
+@functools.cache
+def _conjugation_tables(n: int) -> tuple[tuple[int, ...], ...]:
+    """Per generator s (an involution): index i -> index of s G(n)[i] s."""
+    maps = [lambda g, s=s: p_compose(p_compose(s, g), s) for s in generators(n)]
+    return tuple(map(tuple, _index_tables(n, maps)))
+
+
+def _orbits(tables, size: int, starts) -> list[list[int]]:
+    """The orbits, under the maps the index tables hold, of the indices in
+    `starts`, each listed once in the order its first start is met."""
+    seen = bytearray(size)
+    out = []
+    for i in starts:
+        if seen[i]:
+            continue
+        seen[i] = 1
+        orbit = [i]
+        for j in orbit:
+            for t in tables:
+                k = t[j]
+                if not seen[k]:
+                    seen[k] = 1
+                    orbit.append(k)
+        out.append(orbit)
+    return out
 
 
 def center_element(n: int) -> tuple:
@@ -182,47 +240,37 @@ def embed_block(perm: tuple, total: int, offset: int) -> tuple:
 
 
 def group_facts(n: int) -> dict:
+    if n < 1:
+        raise ValueError("n >= 1")
     if n > 4:
         raise ValueError("full enumeration is desk-scale only (n <= 4)")
-    elems = all_elements(n)
+    elems = _elements(n)
+    index = _index(n)
     report = {}
-    report["order"] = len(set(elems))
+    report["order"] = len(index)
     report["order_expected"] = 2 ** (2**n - 1)
     report["order_ok"] = report["order"] == report["order_expected"] == len(elems)
 
-    gens = generators(n)
     cn = center_element(n)
     # the centralizer of a generating set is the center
-    center = [g for g in elems if all(p_compose(g, s) == p_compose(s, g)
-                                      for s in gens)]
+    conj = _conjugation_tables(n)
+    center = [g for i, g in enumerate(elems) if all(t[i] == i for t in conj)]
     ident = p_identity(2**n)
-    report["center_ok"] = sorted(center) == sorted([ident, cn]) if n >= 1 else True
+    report["center"] = sorted(center)
+    report["center_ok"] = report["center"] == sorted([ident, cn])
 
-    # coset decomposition along the index-two subgroup
-    h_elems = {
-        to_permutation(TreeAutomorphism(n, bits))
-        for bits in itertools.product((0, 1), repeat=2**n - 1)
-        if bits[0] == 0
-    }
+    # coset decomposition along the index-two subgroup (it keeps the halves):
+    # H beta = beta H = G \ H, compared as index sets (-1: not in G)
+    half = 2 ** (n - 1)
+    h_elems = [g for g in elems if g[0] < half]
     beta = beta_perm(n)
-    beta_coset = {p_compose(g, beta) for g in h_elems}
     report["coset_ok"] = (
-        h_elems | beta_coset == set(elems)
-        and not (h_elems & beta_coset)
-        and beta_coset == {p_compose(beta, g) for g in h_elems}
+        {index.get(p_compose(g, beta), -1) for g in h_elems}
+        == {index.get(p_compose(beta, g), -1) for g in h_elems}
+        == {i for i, g in enumerate(elems) if g[0] >= half}
     )
 
-    # beta conjugation swaps the two factors
-    half = 2 ** (n - 1)
-    twist_ok = True
-    for g in generators(n - 1) if n >= 2 else []:
-        left = embed_block(g, 2**n, 0)
-        right = embed_block(g, 2**n, half)
-        if p_compose(p_compose(beta, left), beta) != right:
-            twist_ok = False
-        if p_compose(p_compose(beta, right), beta) != left:
-            twist_ok = False
-    report["twist_ok"] = twist_ok
+    report["twist_ok"] = _twist_ok(n)
     report["ok"] = all(report[k] for k in
                        ("order_ok", "center_ok", "coset_ok", "twist_ok"))
     return report
@@ -230,50 +278,43 @@ def group_facts(n: int) -> dict:
 
 def mackey_orbit_check(n: int) -> dict:
     """H x H orbits on G(n), H = G(n-1) x G(n-1): two orbits of size |H|."""
+    if n < 1:
+        raise ValueError("n >= 1")
     if n > 4:
         raise ValueError("desk-scale only (n <= 4)")
-    size = 2**n
-    half = size // 2
-    hgens = []
-    for g in generators(n - 1):
-        hgens.append(embed_block(g, size, 0))
-        hgens.append(embed_block(g, size, half))
-    elems = set(all_elements(n))
+    hgens = [s for pair in _factor_generators(n) for s in pair]
+    maps = [functools.partial(p_compose, s) for s in hgens]
+    maps += [lambda g, s=s: p_compose(g, s) for s in hgens]
+    tables = _index_tables(n, maps)
+    index = _index(n)
 
-    def orbit_of(x):
-        seen = {x}
-        stack = [x]
-        while stack:
-            cur = stack.pop()
-            for s in hgens:
-                for nxt in (p_compose(s, cur), p_compose(cur, s)):
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-        return seen
-
-    ident = p_identity(size)
     beta = beta_perm(n)
-    o1 = orbit_of(ident)
-    o2 = orbit_of(beta)
+    o1, o2 = (set(_orbits(tables, len(index), [index[x]])[0])
+              for x in (p_identity(2**n), beta))
     h_order = 2 ** (2**n - 2)
     report = {
         "orbit_sizes": sorted((len(o1), len(o2))),
-        "two_orbits_cover": o1 | o2 == elems and not (o1 & o2),
+        "two_orbits_cover": len(o1 | o2) == len(index) and not (o1 & o2),
         "sizes_ok": len(o1) == len(o2) == h_order,
     }
-    # twist identity h beta = beta tau(h) on generators
-    twist_ok = True
-    for g in generators(n - 1):
-        left = embed_block(g, size, 0)
-        right = embed_block(g, size, half)
-        if p_compose(left, beta) != p_compose(beta, right):
-            twist_ok = False
-        if p_compose(right, beta) != p_compose(beta, left):
-            twist_ok = False
-    report["twist_ok"] = twist_ok
-    report["ok"] = report["two_orbits_cover"] and report["sizes_ok"] and twist_ok
+    report["twist_ok"] = _twist_ok(n)
+    report["ok"] = all(report[k] for k in ("two_orbits_cover", "sizes_ok", "twist_ok"))
     return report
+
+
+def _factor_generators(n: int) -> list[tuple[tuple, tuple]]:
+    """Each generator of G(n-1) on the first and on the second half of the
+    leaves: together they generate H = G(n-1) x G(n-1)."""
+    return [(embed_block(g, 2**n, 0), embed_block(g, 2**n, 2 ** (n - 1)))
+            for g in generators(n - 1)]
+
+
+def _twist_ok(n: int) -> bool:
+    """beta conjugation swaps the two factors of H, checked on generators."""
+    beta = beta_perm(n)
+    return all(p_compose(p_compose(beta, left), beta) == right
+               and p_compose(p_compose(beta, right), beta) == left
+               for left, right in _factor_generators(n))
 
 
 # ---------------------------------------------------------------------------
@@ -401,29 +442,13 @@ def epm_idempotent_check(n: int) -> dict:
 
 
 def conjugacy_classes(n: int) -> list[list[tuple]]:
-    """Orbit refinement under generator conjugation; no full table built."""
+    """Orbits of G(n) under conjugation by the generators, refined over
+    element indices; each class is sorted, classes in wreath order."""
     if n > 4:
         raise ValueError("full enumeration is desk-scale only (n <= 4)")
-    elems = all_elements(n)
-    gens = generators(n)
-    gen_invs = [p_inverse(g) for g in gens]
-    seen = set()
-    classes = []
-    for e in elems:
-        if e in seen:
-            continue
-        orbit = {e}
-        stack = [e]
-        while stack:
-            cur = stack.pop()
-            for g, gi in zip(gens, gen_invs):
-                img = p_compose(p_compose(g, cur), gi)
-                if img not in seen and img not in orbit:
-                    orbit.add(img)
-                    stack.append(img)
-        seen |= orbit
-        classes.append(sorted(orbit))
-    return classes
+    elems = _elements(n)
+    return [sorted(elems[i] for i in orbit)
+            for orbit in _orbits(_conjugation_tables(n), len(elems), range(len(elems)))]
 
 
 # ---------------------------------------------------------------------------

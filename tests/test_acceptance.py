@@ -260,9 +260,7 @@ def test_criterion_6_wreath_suite():
     for n in (1, 2, 3, 4):
         rep = group_facts(n)
         ok = ok and rep["order_ok"] and rep["order"] == 2 ** (2**n - 1)
-        if n <= 3:
-            ok = ok and rep["center_ok"]
-        ok = ok and rep["coset_ok"] and rep["twist_ok"]
+        ok = ok and rep["center_ok"] and rep["coset_ok"] and rep["twist_ok"]
     for n in (2, 3, 4):
         ok = ok and mackey_orbit_check(n)["ok"]
         ok = ok and central_element_checks(n)["ok"]

@@ -241,6 +241,17 @@ def test_wreath_enumeration_beyond_n4_exit_2(action, capsys):
     assert "n <= 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("action", ["facts", "classes", "oor", "d4-table"])
+def test_wreath_n0_no_traceback(action, capsys):
+    # G(0) is trivial: a check that needs the root swap refuses n = 0 with
+    # exit 2; the rest may answer, but none may raise out of run()
+    code = run(["--json", "wreath", action, "-n", "0"])
+    assert code in (0, 2)
+    if action in ("facts", "oor"):
+        assert code == 2
+        assert "n >= 1" in capsys.readouterr().err
+
+
 def test_huge_characteristic_exit_2(capsys):
     assert run(["mf", "trace", "--char", str(10**400), "--f", "x^2+1", "--p", "x"]) == 2
     assert "below" in capsys.readouterr().err

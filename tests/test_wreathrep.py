@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -14,12 +15,14 @@ from foamlib.wreathrep import (
     d4_table_check,
     epm_idempotent_check,
     from_permutation,
+    generators,
     group_facts,
     mackey_orbit_check,
     oor_count_cross_check,
     oor_irrep_count,
     p_compose,
     p_identity,
+    p_inverse,
     to_permutation,
 )
 
@@ -57,6 +60,54 @@ def test_bijection_small_depths():
         assert len(set(perms)) == 2 ** (2**n - 1)
         for p in perms[:50]:
             assert to_permutation(from_permutation(n, p)) == p
+
+
+def _from_bits(n):
+    """G(n) by the tree recursion, one bit tuple at a time."""
+    return [to_permutation(TreeAutomorphism(n, bits))
+            for bits in itertools.product((0, 1), repeat=2**n - 1)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_cached_elements_are_the_tree_symmetries(n):
+    elems = all_elements(n)
+    assert len(set(elems)) == len(elems) == 2 ** (2**n - 1)
+    assert set(elems) == set(_from_bits(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_level_generators_generate(n):
+    # closure of the n level swaps under composition, by breadth-first search
+    gens = generators(n)
+    assert len(gens) == n
+    seen = {p_identity(2**n)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for s in gens:
+                h = p_compose(g, s)
+                if h not in seen:
+                    seen.add(h)
+                    nxt.append(h)
+        frontier = nxt
+    assert len(seen) == 2 ** (2**n - 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_classes_are_brute_force_conjugacy_classes(n):
+    group = _from_bits(n)
+    brute = {frozenset(p_compose(p_compose(g, x), p_inverse(g)) for g in group)
+             for x in group}
+    assert {frozenset(c) for c in conjugacy_classes(n)} == brute
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_center_is_brute_force_centralizer(n):
+    group = _from_bits(n)
+    brute = sorted(z for z in group
+                   if all(p_compose(z, g) == p_compose(g, z) for g in group))
+    assert group_facts(n)["center"] == brute
 
 
 def test_non_member_rejected():
