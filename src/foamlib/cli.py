@@ -124,7 +124,7 @@ def cmd_verify(args, report: RunReport):
         )
         report.add("foam_matches_formula", agrees)
     elif args.identity == "exchange":
-        for entry in sylfoam.verify_exchange(args.m, args.n, mode, seed=args.seed):
+        for entry in sylfoam.verify_exchange(args.m, args.n, mode):
             report.add(
                 f"exchange m={args.m} n={args.n} d={entry['d']} "
                 f"|X|={entry['size_x']} ({mode})",
@@ -132,12 +132,11 @@ def cmd_verify(args, report: RunReport):
             )
     elif args.identity == "chenlouck":
         f = parse_poly(args.f) if args.f else None
-        entry = sylfoam.verify_chen_louck(args.m, args.d, f, mode, seed=args.seed)
+        entry = sylfoam.verify_chen_louck(args.m, args.d, f, mode)
         report.add(f"chenlouck m={args.m} d={args.d} ({mode})", entry["ok"])
     elif args.identity == "dksv":
         entry = sylfoam.verify_dksv(
             args.m, args.n, args.d, args.size_x, args.size_e, mode,
-            seed=args.seed,
         )
         report.add(
             f"dksv m={args.m} n={args.n} d={args.d} |X|={args.size_x} "
@@ -272,7 +271,7 @@ def _suite_items(name: str, seed: int):
 
     def exchange():
         mn = 2 if name == "smoke" else 3
-        entries = sylfoam.verify_exchange(mn, mn, "symbolic", seed=seed)
+        entries = sylfoam.verify_exchange(mn, mn, "symbolic")
         return all(e["ok"] for e in entries), f"m=n={mn} symbolic"
 
     def hessian():
@@ -306,7 +305,7 @@ def _suite_items(name: str, seed: int):
             return wreathrep.oor_count_cross_check(4)["ok"], "230 classes"
 
         def dksv():
-            rep = sylfoam.verify_dksv(2, 2, 1, 1, 4, "grid", seed=seed)
+            rep = sylfoam.verify_dksv(2, 2, 1, 1, 4, "grid")
             return rep["ok"], "m=n=2 |E|=4 grid"
 
         def skein():
@@ -324,7 +323,7 @@ def _suite_items(name: str, seed: int):
             return True, "10 instances per rewrite"
 
         def exchange_grid():
-            entries = sylfoam.verify_exchange(4, 4, "grid", seed=seed)
+            entries = sylfoam.verify_exchange(4, 4, "grid")
             return all(e["ok"] for e in entries), "m=n=4 grid"
 
         def qmoy_sweep():
@@ -400,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact evaluators and identity verifiers",
     )
     ap.add_argument("--json", action="store_true", help="emit the report as JSON")
-    ap.add_argument("--seed", type=int, default=0, help="seed for random modes")
+    ap.add_argument("--seed", type=int, default=0,
+                    help="seed for suite surfaces, mf hessian and wreath d4-table")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_tqft = sub.add_parser("tqft", help="evaluate a decorated surface")
@@ -422,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--size-x", type=_size, default=1)
     p_ver.add_argument("--size-e", type=_size, default=3)
     p_ver.add_argument("--f", help="symmetric dot polynomial in slots s1..sk")
-    p_ver.add_argument("--mode", choices=["symbolic", "grid", "random"],
+    p_ver.add_argument("--mode", choices=["symbolic", "grid"],
                        default="symbolic")
 
     p_mf = sub.add_parser("mf", help="Jacobi algebra traces")

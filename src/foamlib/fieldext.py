@@ -10,7 +10,9 @@ Three kinds:
 
   FiniteFieldTower      GF(p^d0) < GF(p^d1) < ... with canonical traces;
                         fully automatic (moduli, embeddings, Galois action
-                        all computed).
+                        all computed).  Every level map (inclusion,
+                        relative trace, pull-back) is a cached GF(p)
+                        matrix on the prime-field coefficients.
   RationalNumberField   QQ < QQ[x]/(f); Galois operations need the caller
                         to supply all roots of f as polynomials in the
                         generator (exact factorization over number fields
@@ -30,7 +32,8 @@ supplies only the facts that differ by kind:
   embedding_roots(level)    G^(q0^s), s < dim, G the generator's image in
                             the top field; the supplied roots of f
   prime_coeffs(level, a)    a itself; (a,) for a rational a
-  _pull_back(a, top, 0)     a linear solve; reading off a constant
+  _pull_back(a, top, 0)     a solve on the inclusion matrix; reading off a
+                            constant
 
 A table algebra supplies none of them, and its Galois operations raise
 BackendError.
@@ -48,6 +51,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .exactalg.ffield import ExtField, GF, NumberField, roots_in_extension
@@ -372,6 +376,26 @@ class FrobeniusBackend:
 
 
 class FiniteFieldTower(FrobeniusBackend):
+    """GF(p^d0) < GF(p^d1) < ... with the canonical field traces.
+
+    An element of level i is its tuple of d_i prime-field coefficients in
+    the power basis of the level generator g_i.  Every map between levels
+    is GF(p)-linear on these tuples, so each is one matrix over GF(p),
+    kept as a tuple of rows in `_maps` and built on first use:
+
+      ("incl", lo, hi)   column k is the image of g_lo^k in level hi.  The
+                         step lo -> lo+1 sends g_lo to the smallest root of
+                         lo's modulus in the next level; a longer inclusion
+                         is the product of its steps, so inclusions compose.
+      ("trace", hi, lo)  column k is sum_{s<r} (g_hi^k)^(q_lo^s), r the
+                         degree of hi over lo, pulled back to level lo.
+
+    include, relative_trace and trace_to_ground are then one matrix-vector
+    product mod p, scalar_mul is an inclusion and one product, and
+    _pull_back is a linear solve on the inclusion matrix, which raises
+    ValueError for an element outside the image.
+    """
+
     kind = "finite"
 
     def __init__(self, p: int, degrees: Sequence[int], names: Sequence[str] | None = None):
@@ -395,22 +419,7 @@ class FiniteFieldTower(FrobeniusBackend):
         if len(names) != len(degrees):
             raise BackendError("one name per tower level required")
         self.level_names = tuple(names)
-        # consecutive embeddings: image of the lower generator in the upper field
-        self._gen_images: list = []  # _gen_images[i]: generator of level i inside level i+1
-        for i in range(len(degrees) - 1):
-            lo, hi = self.fields[i], self.fields[i + 1]
-            img = self._embed_generator(lo, hi)
-            self._gen_images.append(img)
-        # cache of (from,to) -> generator image of `from` inside `to`
-        self._img_cache: dict[tuple[int, int], object] = {}
-
-    @staticmethod
-    def _embed_generator(lo: ExtField, hi: ExtField):
-        """Deterministic root of lo's modulus inside hi: the smallest one."""
-        roots = roots_in_extension(lo.modulus, hi.degree)
-        if not roots:
-            raise BackendError("no root found for tower embedding")
-        return roots[0]
+        self._maps: dict[tuple[str, int, int], tuple] = {}
 
     # --- level plumbing --------------------------------------------------
 
@@ -445,133 +454,81 @@ class FiniteFieldTower(FrobeniusBackend):
         # ground scalar c acts through the inclusion ground -> level
         return self.fields[level].mul(self.include(c, 0, level), a)
 
-    def _prime_dom(self):
-        return zmod(self.p)
-
     def coords(self, level: int, a) -> list:
         """Ground-field coordinates of a in the power basis of the level.
 
-        Solved as a prime-field linear system in the d0 coefficients of
-        each ground coordinate; the result is a list of ground elements.
+        The ground basis in the level is the columns of the inclusion
+        matrix; the d0 prime coefficients of each ground coordinate solve
+        one prime-field linear system.
         """
-        basis = self.basis(level)
         fld = self.fields[level]
         d0 = self.degrees[0]
-        di = self.degrees[level]
-        pdom = self._prime_dom()
-        gbasis = self.ground_basis_in(level)
+        ground_basis = list(zip(*self._map("incl", 0, level)))
+        cols = [fld.mul(b, g) for b in self.basis(level) for g in ground_basis]
+        flat = solve(zmod(self.p), _transpose(cols), a)
+        return [tuple(flat[j * d0:(j + 1) * d0]) for j in range(self.dim(level))]
+
+    # --- level maps ------------------------------------------------------
+
+    def _map(self, kind: str, src: int, dst: int) -> tuple:
+        """The prime-field matrix of a level map, as a tuple of rows."""
+        key = (kind, src, dst)
+        if key not in self._maps:
+            self._maps[key] = (self._inclusion_matrix(src, dst) if kind == "incl"
+                               else self._trace_matrix(src, dst))
+        return self._maps[key]
+
+    def _inclusion_matrix(self, lo: int, hi: int) -> tuple:
+        if lo == hi:
+            n = self.degrees[lo]
+            return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        # the step hi-1 -> hi, sending g_(hi-1) to its smallest root, after
+        # the inclusion lo -> hi-1
+        fld = self.fields[hi]
+        root = roots_in_extension(self.fields[hi - 1].modulus, fld.degree)[0]
+        powers = [fld.one]
+        for _ in range(self.degrees[hi - 1] - 1):
+            powers.append(fld.mul(powers[-1], root))
+        step = _transpose(powers)
+        below = self._map("incl", lo, hi - 1)
+        return _transpose([_mat_vec(step, col, self.p) for col in zip(*below)])
+
+    def _trace_matrix(self, hi: int, lo: int) -> tuple:
+        fld = self.fields[hi]
+        q = self.p ** self.degrees[lo]
         cols = []
-        for bj in basis:
-            for gb in gbasis:
-                cols.append(list(fld.mul(bj, gb)))
-        mat = [[cols[c][r] for c in range(len(cols))] for r in range(di)]
-        flat = solve(pdom, mat, list(a))
-        out = []
-        for j in range(len(basis)):
-            out.append(tuple(flat[j * d0 : (j + 1) * d0]))
-        return out
-
-    def ground_basis_in(self, level: int) -> list:
-        """Images of the ground power basis inside the level."""
-        img = self.gen_image(0, level)
-        fld = self.fields[level]
-        out = [fld.one]
-        for _ in range(self.degrees[0] - 1):
-            out.append(fld.mul(out[-1], img))
-        return out
-
-    def gen_image(self, from_level: int, to_level: int):
-        """Image of from_level's generator inside to_level (composite embedding)."""
-        if from_level == to_level:
-            return self.fields[from_level].gen()
-        key = (from_level, to_level)
-        if key not in self._img_cache:
-            # embed into the next level, then push that image up
-            self._img_cache[key] = self.include(self._gen_images[from_level],
-                                                from_level + 1, to_level)
-        return self._img_cache[key]
+        for k in range(self.degrees[hi]):
+            cur = acc = fld.from_coeffs([0] * k + [1])
+            for _ in range(self.degrees[hi] // self.degrees[lo] - 1):
+                cur = fld.power(cur, q)
+                acc = fld.add(acc, cur)
+            cols.append(self._pull_back(acc, hi, lo))
+        return _transpose(cols)
 
     def include(self, a, from_level, to_level):
-        """Map a up the tower by evaluating its polynomial at gen_image."""
         from_level = self.level_index(from_level)
         to_level = self.level_index(to_level)
         if from_level == to_level:
             return a
         if from_level > to_level:
             raise BackendError("inclusion must go up the tower")
-        return _horner(self.fields[to_level], a, self.gen_image(from_level, to_level))
+        return _mat_vec(self._map("incl", from_level, to_level), a, self.p)
 
     def relative_trace(self, a, from_level, to_level):
-        """Canonical field trace: sum of the Frobenius-power images."""
         from_level = self.level_index(from_level)
         to_level = self.level_index(to_level)
         if from_level < to_level:
             raise BackendError("relative trace must go down the tower")
-        fld = self.fields[from_level]
-        q = self.p ** self.degrees[to_level]
-        r = self.degrees[from_level] // self.degrees[to_level]
-        acc = fld.zero
-        cur = a
-        for _ in range(r):
-            acc = fld.add(acc, cur)
-            cur = fld.power(cur, q)
-        return self._pull_back(acc, from_level, to_level)
-
-    def _pull_back(self, a, from_level: int, to_level: int):
-        """Invert the embedding on an element known to lie in the image."""
         if from_level == to_level:
             return a
-        pdom = self._prime_dom()
-        rows, inv, full = self._pull_back_solver(from_level, to_level)
-        picked = [a[r] for r in rows]
-        sol = tuple(
-            _sum(pdom, (pdom.mul(inv[i][j], picked[j]) for j in range(len(rows))))
-            for i in range(len(rows))
-        )
-        # confirm the element really lies in the image
-        rebuilt = [
-            _sum(pdom, (pdom.mul(full[r][i], sol[i]) for i in range(len(sol))))
-            for r in range(self.degrees[from_level])
-        ]
-        if list(a) != rebuilt:
-            raise ValueError("element does not lie in the subfield image")
-        return sol
-
-    def _pull_back_solver(self, from_level: int, to_level: int):
-        key = (from_level, to_level)
-        cache = self.__dict__.setdefault("_pull_cache", {})
-        if key in cache:
-            return cache[key]
-        pdom = self._prime_dom()
-        img = self.gen_image(to_level, from_level)
-        cols = []
-        power = self.fields[from_level].one
-        for _ in range(self.degrees[to_level]):
-            cols.append(list(power))
-            power = self.fields[from_level].mul(power, img)
-        d_from = self.degrees[from_level]
-        d_to = self.degrees[to_level]
-        full = [[cols[c][r] for c in range(d_to)] for r in range(d_from)]
-        # pick d_to rows making a square invertible block
-        rows = []
-        inv = None
-        from itertools import combinations
-
-        for rset in combinations(range(d_from), d_to):
-            block = [full[r] for r in rset]
-            try:
-                inv = mat_inverse(pdom, block)
-                rows = list(rset)
-                break
-            except ValueError:
-                continue
-        if inv is None:
-            raise ValueError("embedding matrix has no invertible block")
-        cache[key] = (rows, inv, full)
-        return cache[key]
+        return _mat_vec(self._map("trace", from_level, to_level), a, self.p)
 
     def trace_to_ground(self, level: int, a):
         return self.relative_trace(a, level, 0)
+
+    def _pull_back(self, a, from_level: int, to_level: int):
+        """Invert the inclusion; ValueError if a is not in its image."""
+        return tuple(solve(zmod(self.p), self._map("incl", to_level, from_level), a))
 
     # --- automorphisms ----------------------------------------------------
 
@@ -620,7 +577,7 @@ class FiniteFieldTower(FrobeniusBackend):
         level = self.level_index(level)
         top_field = self.fields[self.top]
         q0 = self.p ** self.degrees[0]
-        img = self.gen_image(level, self.top)
+        img = self.include(self.generator(level), level, self.top)
         return [top_field.power(img, q0**s) for s in range(self.dim(level))]
 
     # --- parsing / rendering ----------------------------------------------
@@ -1017,6 +974,16 @@ class TableAlgebra(FrobeniusBackend):
             "unit": [r(c) for c in self.unit_vec],
             "char": self.ground.char,
         }
+
+
+def _transpose(cols) -> tuple:
+    """The rows of the matrix with the given columns."""
+    return tuple(zip(*cols))
+
+
+def _mat_vec(rows, a, p: int) -> tuple:
+    """The matrix with the given rows times the column a, mod p."""
+    return tuple(sum(map(mul, row, a)) % p for row in rows)
 
 
 def _sum(dom, items):

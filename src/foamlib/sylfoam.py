@@ -29,7 +29,7 @@ assigns an ordered set partition to each flower; its term is
 Petal dots are symmetric polynomials written in slot variables s1..sk;
 symmetry is validated on adjacent transpositions.
 
-Identity verifiers run in three modes.  "symbolic" expands both sides
+Identity verifiers run in two modes.  "symbolic" expands both sides
 exactly (a proof).  "grid" evaluates both sides in integers along one
 line, variable i taking the value 1 + i*(D+2) + i^2*t for t = 0..D, where
 D is the total degree of the difference of the sides times the
@@ -37,14 +37,12 @@ Vandermonde product of the delta alphabets (`cleared_degree`).  No two
 variables meet on that line, so no denominator vanishes, and the
 differences v_i - v_j = (i-j)(D+2+(i+j)t) vary along it.  The D + 1
 points prove that the identity holds on the whole line; that is
-evidence, not a symbolic proof.  "random" uses seeded random rationals
-with resampling on zero denominators.
+evidence, not a symbolic proof.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -705,29 +703,8 @@ def grid_assignments(variables: Sequence[str], degree: int):
         yield {v: 1 + i * step + i * i * t for i, v in enumerate(vs)}
 
 
-def _random_assignments(variables: Sequence[str], count: int, seed: int):
-    rng = random.Random(seed)
-    vs = list(variables)
-    made = 0
-    while made < count:
-        vals = {}
-        used = set()
-        ok = True
-        for v in vs:
-            val = Fraction(rng.randint(-50, 50), rng.randint(1, 9))
-            if val in used:
-                ok = False
-                break
-            used.add(val)
-            vals[v] = val
-        if ok:
-            made += 1
-            yield vals
-
-
 def _check_identity(lhs_terms, rhs_terms, variables, delta_alphabets,
-                    mode: str, seed: int = 0,
-                    lhs_value: MultiPoly | None = None) -> bool:
+                    mode: str, lhs_value: MultiPoly | None = None) -> bool:
     """Compare two subset sums; lhs may instead be a closed polynomial."""
     lhs = [] if lhs_value is not None else list(lhs_terms())
     rhs = list(rhs_terms())
@@ -735,29 +712,19 @@ def _check_identity(lhs_terms, rhs_terms, variables, delta_alphabets,
         left = (lhs_value if lhs_value is not None
                 else fraction_free_sum(lhs, delta_alphabets))
         return left == fraction_free_sum(rhs, delta_alphabets)
-    if mode == "grid":
-        closed = () if lhs_value is None else (lhs_value,)
-        points = grid_assignments(
-            variables, cleared_degree(lhs + rhs, delta_alphabets, closed))
-    elif mode == "random":
-        points = _random_assignments(variables, 12, seed)
-    else:
+    if mode != "grid":
         raise FoamValueError(f"unknown mode {mode!r}")
-    for assignment in points:
-        try:
-            left = (lhs_value.eval(assignment) if lhs_value is not None
-                    else evaluate_terms_at(lhs, assignment))
-            right = evaluate_terms_at(rhs, assignment)
-        except ZeroDivisionError:
-            if mode == "random":
-                continue
-            raise
-        if left != right:
+    closed = () if lhs_value is None else (lhs_value,)
+    degree = cleared_degree(lhs + rhs, delta_alphabets, closed)
+    for assignment in grid_assignments(variables, degree):
+        left = (lhs_value.eval(assignment) if lhs_value is not None
+                else evaluate_terms_at(lhs, assignment))
+        if left != evaluate_terms_at(rhs, assignment):
             return False
     return True
 
 
-def verify_exchange(m: int, n: int, mode: str = "symbolic", seed: int = 0) -> list:
+def verify_exchange(m: int, n: int, mode: str = "symbolic") -> list:
     """Exchange identity for all 0 <= d <= min(m, n), with |X| = m + n - 2d.
 
     The identity fails for larger X-alphabets, so the maximal valid size
@@ -770,16 +737,13 @@ def verify_exchange(m: int, n: int, mode: str = "symbolic", seed: int = 0) -> li
         X = alphabet("X", m + n - 2 * d)
         lhs, rhs = exchange_sides_terms(A, B, X, d)
         variables = A.variables + B.variables + X.variables
-        ok = _check_identity(
-            lhs, rhs, variables, [A.variables, B.variables],
-            mode, seed=seed,
-        )
+        ok = _check_identity(lhs, rhs, variables, [A.variables, B.variables], mode)
         report.append({"d": d, "size_x": len(X), "ok": ok})
     return report
 
 
 def verify_chen_louck(m: int, d: int, f: MultiPoly | None = None,
-                      mode: str = "symbolic", seed: int = 0) -> dict:
+                      mode: str = "symbolic") -> dict:
     """The interpolation identity; f defaults to e_(m-d) of the slots."""
     if not 0 <= d <= m:
         raise FoamValueError(f"d = {d} out of range for m = {m}")
@@ -790,25 +754,20 @@ def verify_chen_louck(m: int, d: int, f: MultiPoly | None = None,
     X = alphabet("X", k)
     lhs_value, rhs = chen_louck_sides(A, X, d, f)
     variables = A.variables + X.variables
-    ok = _check_identity(
-        None, rhs, variables, [A.variables], mode,
-        seed=seed, lhs_value=lhs_value,
-    )
+    ok = _check_identity(None, rhs, variables, [A.variables], mode,
+                         lhs_value=lhs_value)
     return {"m": m, "d": d, "ok": ok}
 
 
 def verify_dksv(m: int, n: int, d: int, size_x: int, size_e: int,
-                mode: str = "symbolic", seed: int = 0) -> dict:
+                mode: str = "symbolic") -> dict:
     A = alphabet("A", m)
     B = alphabet("B", n)
     X = alphabet("X", size_x)
     E = alphabet("E", size_e)
     lhs, rhs = dksv_sides(A, B, X, E, d)
     variables = A.variables + B.variables + X.variables + E.variables
-    ok = _check_identity(
-        lhs, rhs, variables, [A.variables, E.variables],
-        mode, seed=seed,
-    )
+    ok = _check_identity(lhs, rhs, variables, [A.variables, E.variables], mode)
     return {"m": m, "n": n, "d": d, "size_x": size_x, "size_e": size_e, "ok": ok}
 
 

@@ -397,6 +397,8 @@ def copy_of_center_element(n: int, k: int, index: int) -> tuple:
 
 
 def central_element_checks(n: int) -> dict:
+    if n < 0:
+        raise ValueError("n >= 0")
     report = {}
     cn = GroupAlgElem.of_perm(n, center_element(n))
     report["c_n_central"] = cn.is_central()
@@ -421,6 +423,8 @@ def central_element_checks(n: int) -> dict:
 
 
 def epm_idempotent_check(n: int) -> dict:
+    if n < 1:
+        raise ValueError("n >= 1")
     beta = GroupAlgElem.of_perm(n, beta_perm(n))
     one = GroupAlgElem.unit(n)
     half = Fraction(1, 2)

@@ -309,6 +309,10 @@ def test_threads_flag_is_gone():
     assert run(["--threads", "2", "suite", "smoke"]) == 2
 
 
+def test_random_mode_is_gone():
+    assert run(["verify", "exchange", "--mode", "random"]) == 2
+
+
 def test_readme_commands_parse():
     import shlex
     from pathlib import Path

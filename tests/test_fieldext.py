@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from foamlib.exactalg import UniPoly, parse_unipoly
+from foamlib.exactalg.ffield import roots_in_extension
 from foamlib.exactalg.scalars import QQ_DOMAIN, zmod
 from foamlib.fieldext import (
     BackendError,
@@ -126,6 +127,68 @@ def test_trace_levels_not_comparable():
     tower = FiniteFieldTower(2, [1, 2, 4])
     with pytest.raises(BackendError):
         tower.relative_trace(tower.one(0), 0, 2)
+
+
+# ------------------------------------------------------- tower level maps
+
+TOWERS = {
+    "GF(3)<GF(9)<GF(81)": FiniteFieldTower(3, [1, 2, 4]),
+    "GF(2)<GF(8)<GF(64)": FiniteFieldTower(2, [1, 3, 6]),
+    "GF(4)<GF(16)<GF(256)": FiniteFieldTower(2, [2, 4, 8]),  # ground of degree 2
+}
+
+
+def _element(draw, tower, level):
+    """An element of the level as its tuple of prime-field coefficients."""
+    return draw(st.tuples(*[st.integers(0, tower.p - 1)] * tower.degrees[level]))
+
+
+@pytest.mark.parametrize("name", sorted(TOWERS))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_relative_trace_is_the_frobenius_sum(name, data):
+    tower = TOWERS[name]
+    lo, hi = data.draw(st.sampled_from([(0, 1), (0, 2), (1, 2)]))
+    a = _element(data.draw, tower, hi)
+    fld = tower.field(hi)
+    q = tower.p ** tower.degrees[lo]
+    expected = fld.zero
+    for s in range(tower.degrees[hi] // tower.degrees[lo]):
+        expected = fld.add(expected, fld.power(a, q**s))
+    assert tower.include(tower.relative_trace(a, hi, lo), lo, hi) == expected
+
+
+@pytest.mark.parametrize("name", sorted(TOWERS))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_inclusions_are_unital_homomorphisms_that_compose(name, data):
+    tower = TOWERS[name]
+    lo, hi = data.draw(st.sampled_from([(0, 1), (0, 2), (1, 2)]))
+    a, b = _element(data.draw, tower, lo), _element(data.draw, tower, lo)
+    inc = lambda x: tower.include(x, lo, hi)  # noqa: E731
+    assert inc(tower.one(lo)) == tower.one(hi)
+    assert inc(tower.add(lo, a, b)) == tower.add(hi, inc(a), inc(b))
+    assert inc(tower.mul(lo, a, b)) == tower.mul(hi, inc(a), inc(b))
+    assert tower._pull_back(inc(a), hi, lo) == a
+    c = _element(data.draw, tower, 0)
+    assert tower.include(tower.include(c, 0, 1), 1, 2) == tower.include(c, 0, 2)
+    # each step sends the generator to the smallest root of its modulus
+    step = tower.include(tower.generator(lo), lo, lo + 1)
+    assert step == roots_in_extension(tower.field(lo).modulus, tower.degrees[lo + 1])[0]
+
+
+@pytest.mark.parametrize("name", sorted(TOWERS))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_pull_back_refuses_elements_outside_the_image(name, data):
+    tower = TOWERS[name]
+    lo, hi = data.draw(st.sampled_from([(0, 1), (0, 2), (1, 2)]))
+    a = _element(data.draw, tower, hi)
+    fld = tower.field(hi)
+    # a lies in the image of level lo iff it is fixed by x -> x^(p^d_lo)
+    assume(fld.power(a, tower.p ** tower.degrees[lo]) != a)
+    with pytest.raises(ValueError):
+        tower._pull_back(a, hi, lo)
 
 
 # ------------------------------------------------------------------ dual bases

@@ -147,11 +147,6 @@ def test_exchange_grid_larger():
             assert entry["ok"], (m, n, entry)
 
 
-def test_exchange_random_mode():
-    for entry in verify_exchange(3, 3, "random", seed=5):
-        assert entry["ok"]
-
-
 def test_exchange_d1_m1_hand_case():
     # m = n = 1, d = 1 forces an empty X-alphabet; both sides are 1
     A, B, X = alphabet("A", 1), alphabet("B", 1), alphabet("X", 0)

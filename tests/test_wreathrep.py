@@ -170,6 +170,17 @@ def test_epm_idempotents(n):
     assert rep["ok"], rep
 
 
+@pytest.mark.parametrize("check, n, bound", [
+    (epm_idempotent_check, 0, "n >= 1"),
+    (epm_idempotent_check, -1, "n >= 1"),
+    (central_element_checks, -1, "n >= 0"),
+    (central_element_checks, -2, "n >= 0"),
+])
+def test_element_checks_refuse_small_n(check, n, bound):
+    with pytest.raises(ValueError, match=bound):
+        check(n)
+
+
 # ------------------------------------------------------------------ D4 table
 
 def test_d4_table_all_checks():
