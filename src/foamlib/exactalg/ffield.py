@@ -43,6 +43,8 @@ class ExtField:
         one = [base.zero] * n
         one[0] = base.one
         self.one = tuple(one)
+        # x^n = -sum_j m_j x^j: the nonzero m_j, the only terms mul reduces by
+        self._tail = tuple((j, m) for j, m in enumerate(modulus.coeffs[:n]) if m)
         self.name = name or f"{base!r}[x]/({modulus.render()})"
 
     # -- element constructors ------------------------------------------
@@ -92,25 +94,24 @@ class ExtField:
         return tuple(bd.neg(x) for x in a)
 
     def mul(self, a, b):
-        bd = self.base
+        # The base is Zmod (int elements) or QQ (Fraction elements), so the
+        # schoolbook product and the reduction run on plain operators, and
+        # each output coefficient is reduced once through base.of.
         n = self.degree
         if n == 1:
-            return (bd.mul(a[0], b[0]),)
-        prod_ = [bd.zero] * (2 * n - 1)
+            return (self.base.mul(a[0], b[0]),)
+        of = self.base.of
+        prod_ = [0] * (2 * n - 1)
         for i, ca in enumerate(a):
-            if bd.is_zero(ca):
-                continue
-            for j, cb in enumerate(b):
-                prod_[i + j] = bd.add(prod_[i + j], bd.mul(ca, cb))
-        mod = self.modulus.coeffs
+            if ca:
+                for k, cb in enumerate(b, i):
+                    prod_[k] += ca * cb
         for i in range(2 * n - 2, n - 1, -1):
             c = prod_[i]
-            if bd.is_zero(c):
-                continue
-            prod_[i] = bd.zero
-            for j in range(n):
-                prod_[i - n + j] = bd.sub(prod_[i - n + j], bd.mul(c, mod[j]))
-        return tuple(prod_[:n])
+            if c:
+                for j, m in self._tail:
+                    prod_[i - n + j] -= c * m
+        return tuple(map(of, prod_[:n]))
 
     def inv(self, a):
         """Extended Euclid on (a as polynomial, modulus)."""

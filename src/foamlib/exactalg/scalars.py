@@ -24,7 +24,7 @@ class QQ:
     one = Fraction(1)
 
     def of(self, v) -> Fraction:
-        return Fraction(v)
+        return v if type(v) is Fraction else Fraction(v)
 
     def add(self, a, b):
         return a + b
@@ -109,6 +109,8 @@ class Zmod:
         self.one = 1 % p
 
     def of(self, v) -> int:
+        if type(v) is int:  # the common case; isinstance on Fraction is slow
+            return v % self.p
         if isinstance(v, Fraction):
             if v.denominator % self.p == 0:
                 raise ValueError(f"{v} has no residue mod {self.p}")

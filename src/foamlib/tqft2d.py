@@ -24,6 +24,19 @@ trace(h^g * a), h the handle element of its level.  The defect convention
 is pinned by requiring the torus with one sigma-circle to evaluate to
 sum_i eps(x_i sigma(y_i)), the trace of sigma.
 
+It glues back what the cut allows before any sum is taken.  A self-seam
+folds into its facet as sum_i ins0_i * ins1_i.  A composite facet absorbs
+a neighbour h through a seam with the map psi(z) = sum_i eps_h(z * I_b[i])
+* I_a[i] (I_a, I_b the insertion lists of the composite and of h on that
+seam): psi is the identity across a plain seam, sigma or its inverse
+across a defect and the inclusion from a lower facet, all ring maps, so
+it multiplies h's element in and carries h's other circles over.  The one
+case that cannot fold is h on the upper side of an inclusion seam: psi is
+then the relative trace, which is not multiplicative, so h is absorbed
+only as a cap (that seam its last open circle).  The seams left between
+composites go through one state sum over their multi-indices, the same
+loop that, run on the unfolded facets, is the tests' oracle.
+
 evaluate_coloring is the independent spectral route for separable tower
 backends: a coloring assigns to each facet an embedding of its level into
 the splitting level; plain seams force equal colorings, a defect seam
@@ -185,70 +198,181 @@ def require_valid(s: DecoratedSurface) -> None:
 
 
 def evaluate_neck(s: DecoratedSurface, dual_pairs=None):
-    """State sum over seam multi-indices; returns a ground-field element.
+    """Fold the seams the gluing rules allow, then sum over the rest.
+
+    Returns a ground-field element.  Each facet is cut into a piece: its
+    element (dots and genus handles) and one insertion list per boundary
+    circle.  A self-seam folds into the element as sum_i ins0_i * ins1_i.
+    Then each piece grows into a composite by absorbing a neighbour h
+    through a seam whose insertion lists are I_a on the composite and I_b
+    on h, with the map
+
+      psi(z) = sum_i eps_h(z * I_b[i]) * I_a[i].
+
+    psi(h's element) multiplies into the composite and psi carries h's
+    other insertion lists over, so a seam with both ends in the composite
+    folds like a self-seam.  psi is the identity on a plain seam, sigma or
+    its inverse on a defect, and the inclusion when h is the lower side of
+    an inclusion seam: ring maps, so the product of h's insertions is
+    carried factor by factor.  When h is the upper side of an inclusion
+    seam, psi is the relative trace, and h is absorbed only when that seam
+    is its last open end (a cap).  Every facet is tried as the start, the
+    largest composite is kept, and the rest grow the same way.  Seams
+    between composites are left to the state sum _state_sum, which tests
+    also run on the unfolded pieces of _cut as the oracle.
 
     dual_pairs optionally overrides the dual pair used per level
     ({level: DualBasisPair}) so basis-independence can be tested; the
     override applies to seam insertions (handle elements are dual-pair
     independent regardless).
     """
+    be, pieces = _cut(s, dual_pairs)
+    return _state_sum(be, _fold(be, pieces, s))
+
+
+def _cut(s: DecoratedSurface, dual_pairs=None):
+    """The backend (with any dual-pair override) and one piece per facet.
+
+    A piece is (level, element, ends): the element is the product of the
+    facet's dots and genus handles, and each end is (seam index,
+    insertion list) for one of its boundary circles.
+    """
     require_valid(s)
     be = s.backend
-    ground = be.ground
-
     if dual_pairs is not None:
         be = _with_dual_override(be, dual_pairs)
-
-    ins0, ins1 = {}, {}
-    for i, seam in enumerate(s.seams):
-        a, b = _seam_insertions(s, seam, be)
-        ins0[i] = a
-        ins1[i] = b
-
-    # circle -> (seam index, side)
+    ins = [_seam_insertions(s, seam, be) for seam in s.seams]
     circle_seam: dict[tuple[str, str], tuple[int, int]] = {}
     for i, seam in enumerate(s.seams):
         circle_seam[seam.end0] = (i, 0)
         circle_seam[seam.end1] = (i, 1)
-
-    # per-facet value tables over local index tuples
-    facet_tables = []
-    facet_seamlists = []
+    pieces = []
     for f in s.facets:
-        base = be.one(f.level)
+        elem = be.one(f.level)
         for d in f.dots:
-            base = be.mul(f.level, base, d)
+            elem = be.mul(f.level, elem, d)
         if f.genus:
             h = be.handle_element(f.level)
             for _ in range(f.genus):
-                base = be.mul(f.level, base, h)
-        local = [circle_seam[(f.id, c)] for c in f.boundary]
-        ranges = [range(len(ins0[i])) for i, _ in local]
+                elem = be.mul(f.level, elem, h)
+        ends = [(i, ins[i][side])
+                for i, side in (circle_seam[(f.id, c)] for c in f.boundary)]
+        pieces.append((f.level, elem, ends))
+    return be, pieces
+
+
+def _state_sum(be, pieces):
+    """Sum over the multi-indices of the seams between pieces.
+
+    Each piece tabulates the trace of its element times one insertion per
+    end over its local index tuples; an assignment of one index per seam
+    contributes the product of the pieces' table entries.
+    """
+    ground = be.ground
+    dims = {}
+    tables = []
+    for level, elem, ends in pieces:
         table = {}
-        for combo in itertools.product(*ranges):
-            acc = base
-            for (seam_i, side), idx in zip(local, combo):
-                item = (ins0 if side == 0 else ins1)[seam_i][idx]
-                acc = be.mul(f.level, acc, item)
-            table[combo] = be.trace_to_ground(f.level, acc)
-        facet_tables.append(table)
-        facet_seamlists.append([i for i, _ in local])
+        for combo in itertools.product(*[range(len(lst)) for _, lst in ends]):
+            acc = elem
+            for (_, lst), idx in zip(ends, combo):
+                acc = be.mul(level, acc, lst[idx])
+            table[combo] = be.trace_to_ground(level, acc)
+        tables.append((table, [i for i, _ in ends]))
+        for i, lst in ends:
+            dims[i] = len(lst)
+    seams = sorted(dims)
+    pos = {i: k for k, i in enumerate(seams)}
+    tables = [(table, [pos[i] for i in here]) for table, here in tables]
 
     total = ground.zero
-    seam_dims = [len(ins0[i]) for i in range(len(s.seams))]
-    for assignment in itertools.product(*[range(d) for d in seam_dims]):
+    for assignment in itertools.product(*[range(dims[i]) for i in seams]):
         prod = ground.one
-        zero = False
-        for table, seams_here in zip(facet_tables, facet_seamlists):
-            key = tuple(assignment[i] for i in seams_here)
-            v = table[key]
+        for table, here in tables:
+            v = table[tuple(assignment[k] for k in here)]
             if ground.is_zero(v):
-                zero = True
                 break
             prod = ground.mul(prod, v)
-        if not zero:
+        else:
             total = ground.add(total, prod)
     return total
+
+
+def _fold(be, pieces, s: DecoratedSurface):
+    """Fold self-seams, then grow composites; returns the pieces left."""
+    folded = []
+    for level, elem, ends in pieces:
+        open_ends: dict = {}
+        for i, lst in ends:
+            elem = _join(be, level, elem, open_ends, i, lst)
+        folded.append((level, elem, open_ends))
+
+    index = {f.id: k for k, f in enumerate(s.facets)}
+    sides = [(index[seam.end0[0]], index[seam.end1[0]]) for seam in s.seams]
+
+    def absorbable(h, i):
+        # psi is a relative trace when h is the upper side of an inclusion
+        return (s.seams[i].kind != "inclusion" or sides[i][1] != h
+                or len(folded[h][2]) == 1)
+
+    def closure(start, left):
+        left = left - {start}
+        order = []
+        todo = [start]
+        while todo:
+            m = todo.pop()
+            for i in folded[m][2]:
+                lo, hi = sides[i]
+                h = hi if lo == m else lo
+                if h in left and absorbable(h, i):
+                    left.remove(h)
+                    order.append((h, i))
+                    todo.append(h)
+        return order
+
+    out = []
+    left = set(range(len(folded)))
+    while left:
+        start, order = max(((k, closure(k, left)) for k in sorted(left)),
+                           key=lambda plan: len(plan[1]))
+        out.append(_absorb(be, folded, start, order))
+        left -= {start, *(h for h, _ in order)}
+    return out
+
+
+def _absorb(be, folded, start, order):
+    """The composite of folded[start] and the pieces absorbed in order."""
+    level, elem, ends = folded[start]
+    open_ends = dict(ends)
+    ground = be.ground
+    for h, seam in order:
+        h_level, h_elem, h_ends = folded[h]
+        pairs = list(zip(open_ends.pop(seam), h_ends[seam]))
+
+        def psi(z):
+            acc = be.zero(level)
+            for a, b in pairs:
+                c = be.trace_to_ground(h_level, be.mul(h_level, z, b))
+                if not ground.is_zero(c):
+                    acc = be.add(level, acc, be.scalar_mul(level, c, a))
+            return acc
+
+        elem = be.mul(level, elem, psi(h_elem))
+        for i, lst in h_ends.items():
+            if i != seam:
+                elem = _join(be, level, elem, open_ends, i, [psi(z) for z in lst])
+    return level, elem, list(open_ends.items())
+
+
+def _join(be, level, elem, open_ends, i, lst):
+    """Open seam i with lst, or fold it with its other end already open."""
+    if i not in open_ends:
+        open_ends[i] = lst
+        return elem
+    acc = be.zero(level)
+    for a, b in zip(open_ends.pop(i), lst):
+        acc = be.add(level, acc, be.mul(level, a, b))
+    return be.mul(level, elem, acc)
 
 
 class _with_dual_override:
@@ -269,20 +393,15 @@ class _with_dual_override:
 
 
 def _seam_insertions(s, seam, be):
+    """The insertion lists at end0 and end1; validate fixed the kind."""
+    level = s.facet(seam.end0[0]).level
+    pair = be.dual_bases(level)
     if seam.kind == "plain":
-        level = s.facet(seam.end0[0]).level
-        pair = be.dual_bases(level)
         return list(pair.xs), list(pair.ys)
     if seam.kind == "defect":
-        level = s.facet(seam.end0[0]).level
-        pair = be.dual_bases(level)
         return [seam.sigma(y) for y in pair.ys], list(pair.xs)
-    if seam.kind == "inclusion":
-        lo = s.facet(seam.end0[0]).level
-        hi = s.facet(seam.end1[0]).level
-        pair = be.dual_bases(lo)
-        return list(pair.xs), [be.include(y, lo, hi) for y in pair.ys]
-    raise SurfaceError(f"unknown seam kind {seam.kind!r}")
+    hi = s.facet(seam.end1[0]).level
+    return list(pair.xs), [be.include(y, level, hi) for y in pair.ys]
 
 
 # ---------------------------------------------------------------------------
@@ -529,10 +648,6 @@ def _merge_k_boundaries(s: DecoratedSurface) -> DecoratedSurface:
 
 # ---------------------------------------------------------------------------
 # Builders
-
-
-def surface(backend, facets, seams) -> DecoratedSurface:
-    return DecoratedSurface(backend, tuple(facets), tuple(seams))
 
 
 def torus_with_defect(backend, level, sigma: Automorphism) -> DecoratedSurface:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -58,6 +59,38 @@ def test_tqft_eval_both(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "evaluators_agree" in out
+
+
+@pytest.mark.parametrize("kind", ["plain", "defect"])
+def test_tqft_eval_eight_seams_over_gf_3_8(tmp_path, capsys, kind):
+    # two facets joined by 8 seams: an 8^8-term sum unless the seams fold
+    seams = []
+    for i in range(8):
+        if kind == "plain":
+            seams.append({"kind": "plain", "ends": [["f1", f"a{i}"], ["f2", f"b{i}"]]})
+        else:
+            seams.append({"kind": "defect", "sigma": f"frob^{i % 3 + 1}",
+                          "source": ["f1", f"a{i}"], "target": ["f2", f"b{i}"]})
+    doc = {
+        "backend": {"kind": "finite", "p": 3, "degrees": [1, 8]},
+        "facets": [
+            {"id": "f1", "genus": 0, "label": "F", "dots": ["x^5+2*x+1"],
+             "boundary": [f"a{i}" for i in range(8)]},
+            {"id": "f2", "genus": 1, "label": "F", "dots": ["x^7+x^2"],
+             "boundary": [f"b{i}" for i in range(8)]},
+        ],
+        "seams": seams,
+    }
+    path = tmp_path / "eight.json"
+    path.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    code = run(["--json", "tqft", "eval", "--surface", str(path), "--both"])
+    elapsed = time.perf_counter() - t0
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    status = {a["name"]: a["status"] for a in report["assertions"]}
+    assert status["evaluators_agree"] == "PASS"
+    assert elapsed < 2.0
 
 
 def test_tqft_eval_separate_backend_file(tmp_path, capsys):

@@ -16,6 +16,9 @@ from foamlib.fieldext import (
 from foamlib.mftrace import JacobiAlgebra, as_frobenius_backend
 from foamlib.surfgen import random_surface
 from foamlib.tqft2d import (
+    _cut,
+    _fold,
+    _state_sum,
     DecoratedSurface,
     Facet,
     Seam,
@@ -338,6 +341,116 @@ def test_torus_with_sigma_is_trace_formula():
         for x, y in zip(pair.xs, pair.ys):
             acc = g.add(acc, be.trace_to_ground(2, be.mul(2, x, sig(y))))
         assert evaluate_neck(t) == acc
+
+
+# ------------------------------------------------------------ seam folding
+
+FOLD_BACKENDS = {
+    "GF(3)<GF(9)<GF(81)": TOWER3,
+    "GF(2)<GF(8)<GF(64)": FiniteFieldTower(2, [1, 3, 6]),
+    "GF(4)<GF(16)": FiniteFieldTower(2, [2, 4]),
+    "Q(sqrt2)": make_backend({"kind": "numberfield", "f": "x^2-2",
+                              "roots": ["x", "-x"]}),
+    "cyclic cubic": CUBIC,
+    "k[a,b]/(a^2,b^2)": NILPOTENT,
+}
+
+
+def unfolded_state_sum(s, dual_pairs=None):
+    """The state sum over every seam multi-index, nothing folded."""
+    return _state_sum(*_cut(s, dual_pairs))
+
+
+def _dots(be, level, rng):
+    return tuple(be.random_element(level, rng) for _ in range(rng.randint(0, 2)))
+
+
+def unfoldable_surface(be, rng):
+    """Pairs U_j - V_j at an upper level, each U_j also the upper side of an
+    inclusion seam from one lower facet L.
+
+    Every U_j has two circles, so it can only be reached through V_j, and
+    L folds into one pair only: the other inclusion seams are left to the
+    state sum.
+    """
+    hi = rng.randrange(1, be.num_levels)
+    lo = rng.randrange(hi)
+    k = rng.randint(2, 3)
+    facets = [Facet("L", 0, lo, _dots(be, lo, rng), tuple(f"l{j}" for j in range(k)))]
+    seams = []
+    for j in range(k):
+        u, v = f"U{j}", f"V{j}"
+        facets += [Facet(u, rng.randint(0, 1), hi, _dots(be, hi, rng), ("v", "l")),
+                   Facet(v, 0, hi, _dots(be, hi, rng), ("u",))]
+        if rng.random() < 0.5:
+            seams.append(Seam("plain", (u, "v"), (v, "u")))
+        else:
+            sigma = (be.frobenius_automorphism(hi, rng.randrange(be.dim(hi)))
+                     if isinstance(be, FiniteFieldTower)
+                     else be.automorphism_by_root(rng.randrange(len(be.roots))))
+            seams.append(Seam("defect", (u, "v"), (v, "u"), sigma))
+        seams.append(Seam("inclusion", ("L", f"l{j}"), (u, "l")))
+    return DecoratedSurface(be, tuple(facets), tuple(seams))
+
+
+@pytest.mark.parametrize("name", list(FOLD_BACKENDS))
+@given(seed=st.integers(0, 2**32 - 1), override=st.booleans())
+@settings(max_examples=20, deadline=None)
+def test_folded_neck_equals_state_sum(name, seed, override):
+    be = FOLD_BACKENDS[name]
+    rng = random.Random(seed)
+    surfaces = [random_surface(be, rng, max_seams=4) for _ in range(3)]
+    if be.num_levels > 1:
+        surfaces.append(unfoldable_surface(be, rng))
+    for s in surfaces:
+        pairs = ({lv: be.randomized_dual_pair(lv, rng) for lv in range(be.num_levels)}
+                 if override else None)
+        value = evaluate_neck(s, dual_pairs=pairs)
+        assert value == unfolded_state_sum(s, pairs)
+        if be is not NILPOTENT:
+            assert value == evaluate_coloring(s)
+
+
+@pytest.mark.parametrize("lower, seed", [(0, 2), (1, 0)])
+def test_unfoldable_surface_uses_the_state_sum(lower, seed):
+    # U1 - V1 and U2 - V2 plain, L below U1 and U2: U2 is the upper side of
+    # an inclusion seam with another circle, so L folds into one pair only
+    # and the seam from L to the other pair is summed over; the seeds give
+    # nonzero values (a relative trace to GF(3) or GF(9) is often zero)
+    be = TOWER3
+    rng = random.Random(seed)
+
+    def dot(level):
+        return (be.random_element(level, rng),)
+
+    facets = (Facet("U1", 0, 2, dot(2), ("v", "l")), Facet("V1", 0, 2, dot(2), ("u",)),
+              Facet("U2", 0, 2, dot(2), ("v", "l")), Facet("V2", 1, 2, dot(2), ("u",)),
+              Facet("L", 0, lower, dot(lower), ("l1", "l2")))
+    seams = (Seam("plain", ("U1", "v"), ("V1", "u")),
+             Seam("plain", ("U2", "v"), ("V2", "u")),
+             Seam("inclusion", ("L", "l1"), ("U1", "l")),
+             Seam("inclusion", ("L", "l2"), ("U2", "l")))
+    s = DecoratedSurface(be, facets, seams)
+    # two composites, {U1, V1, L} and {U2, V2}, share the seam L - U2
+    assert [len(ends) for _, _, ends in _fold(*_cut(s), s)] == [1, 1]
+    value = evaluate_neck(s)
+    assert value == unfolded_state_sum(s) == evaluate_coloring(s)
+    assert value != be.zero(0)
+
+
+def test_eight_seams_fold_over_gf_3_8():
+    # two facets joined by 8 seams: 8^8 terms unfolded, one composite folded
+    be = FiniteFieldTower(3, [1, 8])
+    rng = random.Random(29)
+    for kind in ("plain", "defect"):
+        a, b = be.random_element(1, rng), be.random_element(1, rng)
+        sigmas = [be.frobenius_automorphism(1, rng.randrange(8)) for _ in range(8)]
+        s = DecoratedSurface(be, (
+            Facet("f1", 0, 1, (a,), tuple(f"a{i}" for i in range(8))),
+            Facet("f2", 0, 1, (b,), tuple(f"b{i}" for i in range(8))),
+        ), tuple(Seam(kind, ("f1", f"a{i}"), ("f2", f"b{i}"),
+                      sigmas[i] if kind == "defect" else None) for i in range(8)))
+        assert evaluate_neck(s) == evaluate_coloring(s)
 
 
 # ------------------------------------------------------------------ rewrites
