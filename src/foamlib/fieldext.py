@@ -2,23 +2,32 @@
 
 A backend packages a commutative Frobenius algebra (or a tower of them)
 over a ground field, together with everything the surface evaluators
-need: traces to the ground field, dual bases, automorphism application,
-inclusions and relative traces between tower levels, and minimal
-idempotents over a splitting level.
+need: traces to the ground field, dual bases, automorphisms, inclusions
+and relative traces between tower levels, and minimal idempotents over a
+splitting level.
 
 Three kinds:
 
   FiniteFieldTower      GF(p^d0) < GF(p^d1) < ... with canonical traces;
                         fully automatic (moduli, embeddings, Galois action
                         all computed).  Every level map (inclusion,
-                        relative trace, pull-back) is a cached GF(p)
-                        matrix on the prime-field coefficients.
+                        relative trace, pull-back, Frobenius) is a cached
+                        GF(p) matrix on the prime-field coefficients.
   RationalNumberField   QQ < QQ[x]/(f); Galois operations need the caller
                         to supply all roots of f as polynomials in the
                         generator (exact factorization over number fields
                         is deliberately out of scope).
   TableAlgebra          an explicit structure-constant algebra with a
                         trace vector; the ground field is QQ or Z/p.
+
+An element is a tuple of coefficients in the backend's prime_field (GF(p)
+for a tower, QQ for a number field, the ground for a table algebra), except
+at the rational level of a number field, whose elements are Fractions.  An
+automorphism is therefore one matrix over the prime field, and applying,
+composing, inverting and the identity test are written once, in
+Automorphism; a kind supplies only its constructor (frobenius_automorphism,
+automorphism_by_root, matrix_automorphism), and identity_automorphism is
+shared.  validate_automorphism checks any of them the same way.
 
 The Galois layer is written once, in FrobeniusBackend: embeddings,
 automorphism_embedding_action, minpoly_over_ground_in_top and
@@ -39,11 +48,8 @@ A table algebra supplies none of them, and its Galois operations raise
 BackendError.
 
 All backends are validated at construction and immutable afterwards;
-every operation is a pure function.
-
-Elements are backend-native values: tuples of ground scalars.  Level 0 of
-a tower is the ground field itself, so facets labelled by the ground
-field work uniformly.
+every operation is a pure function.  Level 0 of a tower is the ground
+field itself, so facets labelled by the ground field work uniformly.
 """
 
 from __future__ import annotations
@@ -73,29 +79,48 @@ class BackendError(ValueError):
 class Automorphism:
     """An epsilon-automorphism of one level of a backend.
 
-    action is kind-specific:
-      finite tower  -- int e, the map a -> a^(q0^e) with q0 = |ground|
-      number field  -- int root index; the generator maps to roots[index]
-      table algebra -- tuple-of-tuples matrix over the ground field
+    action is its matrix over the backend's prime field (GF(p) for a
+    tower, QQ for a number field, the ground for a table algebra), a tuple
+    of rows acting on the level's coefficient tuples: column j is the image
+    of the j-th unit coefficient vector.  Applying, composing, inverting
+    and the identity test are matrix operations, the same for every kind.
+    Build one with a backend's constructor (frobenius_automorphism,
+    automorphism_by_root, matrix_automorphism, identity_automorphism);
+    automorphism_by_root and matrix_automorphism validate what they build.
     """
 
     backend: "FrobeniusBackend"
     level: int
-    action: object
+    action: tuple
     name: str = ""
 
     def __call__(self, a):
-        return self.backend.apply_automorphism(self, a)
+        # the images of the nonzero coefficients only: dense Fraction
+        # products of zeros would cost more than the rest of the sum
+        out = [0] * len(self.action)
+        for j, c in enumerate(a):
+            if c:
+                for i, row in enumerate(self.action):
+                    if row[j]:
+                        out[i] += c * row[j]
+        return tuple(map(self.backend.prime_field.of, out))
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """self after other: (self * other)(a) = self(other(a))."""
-        return self.backend.compose_automorphisms(self, other)
+        if self.level != other.level:
+            raise BackendError("cannot compose automorphisms of different levels")
+        return Automorphism(self.backend, self.level,
+                            _transpose(map(self, zip(*other.action))),
+                            name=f"{self.name}*{other.name}")
 
     def inverse(self) -> "Automorphism":
-        return self.backend.invert_automorphism(self)
+        inv = mat_inverse(self.backend.prime_field, self.action)
+        return Automorphism(self.backend, self.level, tuple(map(tuple, inv)),
+                            name=f"{self.name}^-1")
 
     def is_identity(self) -> bool:
-        return self.backend.is_identity_automorphism(self)
+        return all(x == (i == j) for i, row in enumerate(self.action)
+                   for j, x in enumerate(row))
 
 
 @dataclass(frozen=True)
@@ -137,6 +162,7 @@ class FrobeniusBackend:
 
     kind: str
     ground = None  # scalar domain
+    prime_field = None  # the domain of the coefficients in an element tuple
     level_names: tuple[str, ...]
 
     # --- levels ---------------------------------------------------------
@@ -267,12 +293,21 @@ class FrobeniusBackend:
         for b, im in zip(basis, imgs):
             if self.trace_to_ground(level, im) != self.trace_to_ground(level, b):
                 raise BackendError("automorphism does not preserve the trace")
-        # bijectivity: images must span
-        mat = [self.coords(level, im) for im in imgs]
+        # bijectivity
         try:
-            mat_inverse(self.ground, mat)
+            mat_inverse(self.prime_field, sigma.action)
         except ValueError:
             raise BackendError("automorphism matrix is singular") from None
+
+    def identity_automorphism(self, level) -> Automorphism:
+        level = self.level_index(level)
+        one = self.one(level)
+        if not isinstance(one, tuple):
+            raise BackendError(f"level {self.level_names[level]!r} of the {self.kind} "
+                               "backend has scalar elements, not coefficient tuples, "
+                               "so it has no automorphism matrix")
+        return Automorphism(self, level, _identity_matrix(self.prime_field, len(one)),
+                            name="id")
 
     # --- Galois layer, written once over the hooks below ------------------
 
@@ -338,19 +373,10 @@ class FrobeniusBackend:
     def scalar_mul(self, level: int, c, a):
         raise NotImplementedError
 
-    def coords(self, level: int, a) -> list:
-        raise NotImplementedError
-
     def trace_to_ground(self, level: int, a):
         raise NotImplementedError
 
-    def apply_automorphism(self, sigma: Automorphism, a):
-        raise NotImplementedError
-
     def parse_element(self, level, text: str):
-        raise NotImplementedError
-
-    def render_element(self, level: int, a) -> str:
         raise NotImplementedError
 
     # optional capabilities
@@ -409,6 +435,7 @@ class FiniteFieldTower(FrobeniusBackend):
         self.degrees = tuple(degrees)
         self.fields = [GF(p, d) for d in degrees]
         self.ground = self.fields[0]
+        self.prime_field = zmod(p)
         if names is None:
             if len(degrees) == 2:
                 names = ("k", "F")
@@ -454,34 +481,20 @@ class FiniteFieldTower(FrobeniusBackend):
         # ground scalar c acts through the inclusion ground -> level
         return self.fields[level].mul(self.include(c, 0, level), a)
 
-    def coords(self, level: int, a) -> list:
-        """Ground-field coordinates of a in the power basis of the level.
-
-        The ground basis in the level is the columns of the inclusion
-        matrix; the d0 prime coefficients of each ground coordinate solve
-        one prime-field linear system.
-        """
-        fld = self.fields[level]
-        d0 = self.degrees[0]
-        ground_basis = list(zip(*self._map("incl", 0, level)))
-        cols = [fld.mul(b, g) for b in self.basis(level) for g in ground_basis]
-        flat = solve(zmod(self.p), _transpose(cols), a)
-        return [tuple(flat[j * d0:(j + 1) * d0]) for j in range(self.dim(level))]
-
     # --- level maps ------------------------------------------------------
 
     def _map(self, kind: str, src: int, dst: int) -> tuple:
         """The prime-field matrix of a level map, as a tuple of rows."""
         key = (kind, src, dst)
         if key not in self._maps:
-            self._maps[key] = (self._inclusion_matrix(src, dst) if kind == "incl"
-                               else self._trace_matrix(src, dst))
+            build = {"incl": self._inclusion_matrix, "trace": self._trace_matrix,
+                     "frob": self._frobenius_matrix}[kind]
+            self._maps[key] = build(src, dst)
         return self._maps[key]
 
     def _inclusion_matrix(self, lo: int, hi: int) -> tuple:
         if lo == hi:
-            n = self.degrees[lo]
-            return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+            return _identity_matrix(self.prime_field, self.degrees[lo])
         # the step hi-1 -> hi, sending g_(hi-1) to its smallest root, after
         # the inclusion lo -> hi-1
         fld = self.fields[hi]
@@ -504,6 +517,12 @@ class FiniteFieldTower(FrobeniusBackend):
                 acc = fld.add(acc, cur)
             cols.append(self._pull_back(acc, hi, lo))
         return _transpose(cols)
+
+    def _frobenius_matrix(self, level: int, e: int) -> tuple:
+        fld = self.fields[level]
+        q = self.p ** (self.degrees[0] * e)
+        return _transpose([fld.power(fld.from_coeffs([0] * k + [1]), q)
+                           for k in range(self.degrees[level])])
 
     def include(self, a, from_level, to_level):
         from_level = self.level_index(from_level)
@@ -533,33 +552,10 @@ class FiniteFieldTower(FrobeniusBackend):
     # --- automorphisms ----------------------------------------------------
 
     def frobenius_automorphism(self, level, power: int = 1) -> Automorphism:
+        """a -> a^(q0^power), q0 = |ground|."""
         level = self.level_index(level)
-        r = self.dim(level)
-        e = power % r if r else 0
-        return Automorphism(self, level, e, name=f"frob^{power}")
-
-    def identity_automorphism(self, level) -> Automorphism:
-        return self.frobenius_automorphism(level, 0)
-
-    def apply_automorphism(self, sigma: Automorphism, a):
-        fld = self.fields[sigma.level]
-        q0 = self.p ** self.degrees[0]
-        return fld.power(a, q0 ** sigma.action)
-
-    def compose_automorphisms(self, s1: Automorphism, s2: Automorphism) -> Automorphism:
-        if s1.level != s2.level:
-            raise BackendError("cannot compose automorphisms of different levels")
-        r = self.dim(s1.level)
-        return Automorphism(self, s1.level, (s1.action + s2.action) % r,
-                            name=f"frob^{(s1.action + s2.action) % r}")
-
-    def invert_automorphism(self, sigma: Automorphism) -> Automorphism:
-        r = self.dim(sigma.level)
-        return Automorphism(self, sigma.level, (-sigma.action) % r,
-                            name=f"frob^{(-sigma.action) % r}")
-
-    def is_identity_automorphism(self, sigma: Automorphism) -> bool:
-        return sigma.action % max(self.dim(sigma.level), 1) == 0
+        return Automorphism(self, level, self._map("frob", level, power % self.dim(level)),
+                            name=f"frob^{power}")
 
     # --- Galois hooks ----------------------------------------------------
 
@@ -588,11 +584,6 @@ class FiniteFieldTower(FrobeniusBackend):
         poly = parse_unipoly(text, fld, var="x")
         return poly.eval(fld.gen())
 
-    def render_element(self, level: int, a) -> str:
-        return UniPoly(zmod(self.p), a).render("x")
-
-    def descriptor(self) -> dict:
-        return {"kind": "finite", "p": self.p, "degrees": list(self.degrees)}
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +601,7 @@ class RationalNumberField(FrobeniusBackend):
             raise BackendError("defining polynomial must be monic of degree >= 1")
         self.f = f
         self.field = NumberField(f)
-        self.ground = QQ_DOMAIN
+        self.ground = self.prime_field = QQ_DOMAIN
         self.level_names = tuple(names)
         self.roots = None
         if roots is not None:
@@ -663,9 +654,6 @@ class RationalNumberField(FrobeniusBackend):
             return Fraction(c) * a
         return self.field.mul(self.field.of(c), a)
 
-    def coords(self, level: int, a) -> list:
-        return [a] if level == 0 else list(a)
-
     def trace_to_ground(self, level: int, a):
         if level == 0:
             return a
@@ -698,38 +686,15 @@ class RationalNumberField(FrobeniusBackend):
             )
 
     def automorphism_by_root(self, index: int) -> Automorphism:
+        """The automorphism sending the generator to roots[index]: column k
+        of its matrix is roots[index]^k."""
         self._need_roots()
-        sigma = Automorphism(self, 1, index, name=f"root[{index}]")
+        powers = [self.field.one]
+        for _ in range(self.f.degree - 1):
+            powers.append(self.field.mul(powers[-1], self.roots[index]))
+        sigma = Automorphism(self, 1, _transpose(powers), name=f"root[{index}]")
         self.validate_automorphism(sigma)
         return sigma
-
-    def identity_automorphism(self, level=1) -> Automorphism:
-        self._need_roots()
-        g = self.field.gen()
-        idx = self.roots.index(g)
-        return Automorphism(self, 1, idx, name="id")
-
-    def apply_automorphism(self, sigma: Automorphism, a):
-        self._need_roots()
-        return _horner(self.field, a, self.roots[sigma.action])
-
-    def compose_automorphisms(self, s1: Automorphism, s2: Automorphism) -> Automorphism:
-        g = self.field.gen()
-        img = self.apply_automorphism(s1, self.apply_automorphism(s2, g))
-        return Automorphism(self, 1, self.roots.index(img),
-                            name=f"{s1.name}*{s2.name}")
-
-    def invert_automorphism(self, sigma: Automorphism) -> Automorphism:
-        ident = self.identity_automorphism()
-        # finite search in the root permutations
-        for idx in range(len(self.roots)):
-            cand = Automorphism(self, 1, idx)
-            if self.compose_automorphisms(sigma, cand).action == ident.action:
-                return cand
-        raise BackendError("automorphism has no inverse among supplied roots")
-
-    def is_identity_automorphism(self, sigma: Automorphism) -> bool:
-        return self.roots[sigma.action] == self.field.gen()
 
     def splitting_field(self) -> ExtField:
         return self.field
@@ -749,8 +714,6 @@ class RationalNumberField(FrobeniusBackend):
 
     def _pull_back(self, a, from_level: int, to_level: int):
         """Invert the inclusion QQ -> F on an element known to be rational."""
-        if from_level == to_level:
-            return a
         if any(c != 0 for c in a[1:]):
             raise ValueError("element does not lie in the subfield image")
         return a[0]
@@ -761,22 +724,10 @@ class RationalNumberField(FrobeniusBackend):
             return parse_poly(text).constant_value()
         return self.field.from_poly(parse_unipoly(text, QQ_DOMAIN, var="x"))
 
-    def render_element(self, level: int, a) -> str:
-        if level == 0:
-            return str(a)
-        return UniPoly(QQ_DOMAIN, a).render("x")
-
-    def descriptor(self) -> dict:
-        out = {"kind": "numberfield", "f": self.f.render()}
-        if self.roots is not None:
-            out["roots"] = [UniPoly(QQ_DOMAIN, r).render() for r in self.roots]
-        return out
 
 
 def _horner(ext: ExtField, coeffs, at):
-    """sum_i coeffs[i] * at^i in ext, for coefficients in its base field."""
-    if not coeffs:
-        return ext.zero
+    """sum_i coeffs[i] * at^i in ext, for nonempty coefficients in its base field."""
     acc = ext.of(coeffs[-1])
     for c in reversed(coeffs[:-1]):
         acc = ext.add(ext.mul(acc, at), ext.of(c))
@@ -792,7 +743,7 @@ class TableAlgebra(FrobeniusBackend):
 
     def __init__(self, basis_names: Sequence[str], mult, trace, unit,
                  ground=None, name: str = "A"):
-        self.ground = ground if ground is not None else QQ_DOMAIN
+        self.ground = self.prime_field = ground if ground is not None else QQ_DOMAIN
         dom = self.ground
         n = len(basis_names)
         self.n = n
@@ -873,9 +824,6 @@ class TableAlgebra(FrobeniusBackend):
         c = dom.of(c)
         return tuple(dom.mul(c, x) for x in a)
 
-    def coords(self, level: int, a) -> list:
-        return list(a)
-
     def trace_to_ground(self, level: int, a):
         dom = self.ground
         acc = dom.zero
@@ -893,46 +841,6 @@ class TableAlgebra(FrobeniusBackend):
         sigma = Automorphism(self, 0, M, name=name)
         self.validate_automorphism(sigma)
         return sigma
-
-    def identity_automorphism(self, level=0) -> Automorphism:
-        M = tuple(
-            tuple(self.ground.one if i == j else self.ground.zero for j in range(self.n))
-            for i in range(self.n)
-        )
-        return Automorphism(self, 0, M, name="id")
-
-    def apply_automorphism(self, sigma: Automorphism, a):
-        dom = self.ground
-        M = sigma.action
-        out = [dom.zero] * self.n
-        # columns of M are images of basis vectors: sigma(b_j) = sum_i M[i][j] b_i
-        for j, c in enumerate(a):
-            if dom.is_zero(c):
-                continue
-            for i in range(self.n):
-                out[i] = dom.add(out[i], dom.mul(c, M[i][j]))
-        return tuple(out)
-
-    def compose_automorphisms(self, s1: Automorphism, s2: Automorphism) -> Automorphism:
-        dom = self.ground
-        M1, M2 = s1.action, s2.action
-        n = self.n
-        M = tuple(
-            tuple(
-                _sum(dom, (dom.mul(M1[i][k], M2[k][j]) for k in range(n)))
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        return Automorphism(self, 0, M, name=f"{s1.name}*{s2.name}")
-
-    def invert_automorphism(self, sigma: Automorphism) -> Automorphism:
-        Minv = mat_inverse(self.ground, [list(r) for r in sigma.action])
-        return Automorphism(self, 0, tuple(tuple(r) for r in Minv),
-                            name=f"{sigma.name}^-1")
-
-    def is_identity_automorphism(self, sigma: Automorphism) -> bool:
-        return sigma.action == self.identity_automorphism().action
 
     def parse_element(self, level, text: str):
         """Parse an expression in the basis names (products use the table)."""
@@ -986,11 +894,9 @@ def _mat_vec(rows, a, p: int) -> tuple:
     return tuple(sum(map(mul, row, a)) % p for row in rows)
 
 
-def _sum(dom, items):
-    acc = dom.zero
-    for x in items:
-        acc = dom.add(acc, x)
-    return acc
+def _identity_matrix(dom, n: int) -> tuple:
+    return tuple(tuple(dom.one if i == j else dom.zero for j in range(n))
+                 for i in range(n))
 
 
 # ---------------------------------------------------------------------------

@@ -727,16 +727,16 @@ def disjoint_union(s1: DecoratedSurface, s2: DecoratedSurface) -> DecoratedSurfa
 # JSON interface
 
 
-def parse_sigma(backend, spec) -> Automorphism:
-    """Automorphism from its JSON form: "frob^k", "id", {"root": "-x"},
-    {"matrix": [[...]]} -- kind-dependent."""
+def parse_sigma(backend, spec, level: int) -> Automorphism:
+    """Automorphism of the given level from its JSON form: "id", "frob^k",
+    {"root": "-x"}, {"matrix": [[...]]} -- the last three kind-dependent."""
     if isinstance(spec, str):
         if spec == "id":
-            return backend.identity_automorphism(backend.top)
+            return backend.identity_automorphism(level)
         if spec.startswith("frob^"):
             if not isinstance(backend, FiniteFieldTower):
                 raise SurfaceError("frob^k needs a finite tower backend")
-            return ("frob", int(spec[5:]))
+            return backend.frobenius_automorphism(level, int(spec[5:]))
         raise SurfaceError(f"cannot parse automorphism {spec!r}")
     if isinstance(spec, dict):
         if "root" in spec:
@@ -820,11 +820,9 @@ def surface_from_json(doc, backend: FrobeniusBackend | None = None) -> Decorated
         elif kind == "defect":
             source = _endpoint(sd.get("source"), "'source'")
             target = _endpoint(sd.get("target"), "'target'")
-            sig = parse_sigma(backend, sd.get("sigma"))
-            if isinstance(sig, tuple) and sig[0] == "frob":
-                if source[0] not in level_of:
-                    raise SurfaceError(f"defect source {list(source)} names no facet")
-                sig = backend.frobenius_automorphism(level_of[source[0]], sig[1])
+            if source[0] not in level_of:
+                raise SurfaceError(f"defect source {list(source)} names no facet")
+            sig = parse_sigma(backend, sd.get("sigma"), level_of[source[0]])
             seams.append(Seam("defect", source, target, sig))
         else:
             raise SurfaceError(

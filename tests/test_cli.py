@@ -321,6 +321,31 @@ _MALFORMED_SURFACES = {
 }
 
 
+def test_id_sigma_below_the_top_level(tmp_path, capsys):
+    # a level-1 defect over a three-level tower: "id" is the level's identity
+    tower = {"kind": "finite", "p": 3, "degrees": [1, 2, 4]}
+    values = []
+    for sigma in ("id", "frob^0"):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(_defect_torus(backend=tower, sigma=sigma)))
+        assert run(["--json", "tqft", "eval", "--surface", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        values.append([a["value"] for a in report["assertions"]
+                       if a["name"] == "evaluate_neck"])
+    assert values == [["2"], ["2"]]
+
+
+def test_id_sigma_on_the_rational_level_exit_2(tmp_path, capsys):
+    # QQ below a number field has scalar elements and no automorphism matrix
+    nf = {"kind": "numberfield", "f": "x^2-2", "roots": ["x", "-x"]}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(_defect_torus(backend=nf, sigma="id", label=0)))
+    assert run(["--json", "tqft", "eval", "--surface", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "automorphism" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("name", sorted(_MALFORMED_SURFACES))
 def test_malformed_surface_exit_2(name, tmp_path):
     path = tmp_path / "s.json"

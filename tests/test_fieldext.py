@@ -240,7 +240,7 @@ def test_scaling_automorphism_accepted():
 
 def test_identity_automorphism_fixes_basis():
     alg = nilpotent_square_algebra()
-    ident = alg.identity_automorphism()
+    ident = alg.identity_automorphism(0)
     for b in alg.basis(0):
         assert ident(b) == b
 
@@ -392,26 +392,12 @@ def test_sigma_permutes_idempotents_like_roots():
 
 
 def test_tower_frobenius_passes_generic_validation():
-    # exercises the generic validator (and tower coords) on a known
-    # automorphism: multiplicativity, trace compatibility, bijectivity
+    # exercises the generic validator on a known automorphism:
+    # multiplicativity, trace compatibility, bijectivity
     tower = FiniteFieldTower(3, [1, 2, 4])
     for level in (1, 2):
         for e in range(tower.dim(level)):
             tower.validate_automorphism(tower.frobenius_automorphism(level, e))
-
-
-def test_tower_coords_roundtrip():
-    rng = random.Random(4)
-    tower = FiniteFieldTower(2, [2, 4])
-    for level in (0, 1):
-        basis = tower.basis(level)
-        for _ in range(10):
-            a = tower.random_element(level, rng)
-            cs = tower.coords(level, a)
-            acc = tower.zero(level)
-            for c, b in zip(cs, basis):
-                acc = tower.add(level, acc, tower.scalar_mul(level, c, b))
-            assert acc == a
 
 
 def test_embedding_action_respects_composition():
@@ -472,6 +458,88 @@ def test_embeddings_are_ground_fixing_homomorphisms(name, seed):
             assert phi(be.add(level, a, b)) == omega.add(phi(a), phi(b))
             assert phi(be.mul(level, a, b)) == omega.mul(phi(a), phi(b))
             assert phi(be.include(c, 0, level)) == be.include(c, 0, be.top)
+
+
+# ------------------------------------------------- automorphisms as matrices
+
+AUTOMORPHISM_BACKENDS = {
+    **GALOIS_BACKENDS,
+    "k[a,b]/(a^2,b^2) over QQ": nilpotent_square_algebra(),
+    "k[a,b]/(a^2,b^2) over GF(2)": nilpotent_square_algebra(zmod(2)),
+}
+
+# the invertible 2x2 matrices over GF(2); each has determinant 1
+_GL2_F2 = [((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 1), (0, 1)),
+           ((1, 0), (1, 1)), ((1, 1), (1, 0)), ((0, 1), (1, 1))]
+
+
+def _horner(field, coeffs, at):
+    """sum_i coeffs[i] * at^i in the field."""
+    acc = field.zero
+    for c in reversed(coeffs):
+        acc = field.add(field.mul(acc, at), field.of(c))
+    return acc
+
+
+def _draw_automorphism(draw, be, level):
+    """A drawn automorphism of the level, and its definition as an oracle."""
+    if isinstance(be, FiniteFieldTower):
+        e = draw(st.integers(0, be.dim(level) - 1))
+        fld, q0 = be.field(level), be.ground.size()
+        return be.frobenius_automorphism(level, e), lambda a: fld.power(a, q0**e)
+    if isinstance(be, RationalNumberField):
+        k = draw(st.integers(0, len(be.roots) - 1))
+        return (be.automorphism_by_root(k),
+                lambda a: _horner(be.field, a, be.roots[k]))
+    # k[a,b]/(a^2,b^2): fix 1 and ab, act on span(a, b) by a 2x2 block of
+    # determinant 1 that keeps a^2 = b^2 = 0 (any block in characteristic 2)
+    if be.ground.char == 2:
+        block = draw(st.sampled_from(_GL2_F2))
+    else:
+        lam = draw(st.fractions(-9, 9, max_denominator=9).filter(bool))
+        block = draw(st.sampled_from([((lam, 0), (0, 1 / lam)), ((0, lam), (1 / lam, 0))]))
+    M = [[1, 0, 0, 0], [0, *block[0], 0], [0, *block[1], 0], [0, 0, 0, 1]]
+    images = [tuple(map(be.ground.of, col)) for col in zip(*M)]
+
+    def oracle(a):
+        acc = be.zero(0)
+        for c, im in zip(a, images):
+            acc = be.add(0, acc, be.scalar_mul(0, c, im))
+        return acc
+
+    return be.matrix_automorphism(M), oracle
+
+
+def _draw_element(draw, be, level):
+    if isinstance(be, FiniteFieldTower):
+        return _element(draw, be, level)
+    coeff = (st.fractions(-9, 9, max_denominator=9) if be.ground.char == 0
+             else st.integers(0, be.ground.char - 1))
+    return tuple(map(be.ground.of, draw(st.tuples(*[coeff] * len(be.one(level))))))
+
+
+@pytest.mark.parametrize("name", sorted(AUTOMORPHISM_BACKENDS))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_automorphism_matrices_match_their_definitions(name, data):
+    be = AUTOMORPHISM_BACKENDS[name]
+    levels = []
+    for level in range(be.num_levels):
+        if isinstance(be, RationalNumberField) and level == 0:
+            # QQ itself: its elements are Fractions, not coefficient tuples
+            with pytest.raises(BackendError):
+                be.identity_automorphism(level)
+            continue
+        assert be.identity_automorphism(level).is_identity()
+        levels.append(level)
+    level = data.draw(st.sampled_from(levels))
+    sigma, oracle = _draw_automorphism(data.draw, be, level)
+    tau, _ = _draw_automorphism(data.draw, be, level)
+    a = _draw_element(data.draw, be, level)
+    assert sigma(a) == oracle(a)
+    assert sigma.compose(tau)(a) == sigma(tau(a))
+    assert sigma.inverse()(sigma(a)) == a
+    assert sigma.is_identity() == all(sigma(b) == b for b in be.basis(level))
 
 
 # ----------------------------------------------------------- eps-sigma property

@@ -172,7 +172,7 @@ def test_evaluator_agreement_number_field(seed):
     nf = make_backend({"kind": "numberfield", "f": "x^2-2",
                        "roots": ["x", "-x"]})
     conj = nf.automorphism_by_root(1)
-    ident = nf.identity_automorphism()
+    ident = nf.identity_automorphism(1)
     # trace of conjugation on the quadratic field is 0; of identity, 2
     t_conj = torus_with_defect(nf, 1, conj)
     t_id = torus_with_defect(nf, 1, ident)
