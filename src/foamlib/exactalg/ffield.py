@@ -253,7 +253,7 @@ def GF(p: int, n: int = 1, modulus_ints: tuple[int, ...] | None = None) -> ExtFi
     return ExtField(dom, f, name=f"GF({p}^{n})" if n > 1 else f"GF({p})")
 
 
-def NumberField(f: UniPoly, name: str | None = None) -> ExtField:
+def NumberField(f: UniPoly) -> ExtField:
     """QQ[x]/(f) for monic f over QQ with gcd(f, f') = 1.
 
     Irreducibility over QQ is not tested (factorization is out of scope);
@@ -265,7 +265,7 @@ def NumberField(f: UniPoly, name: str | None = None) -> ExtField:
         raise ValueError("defining polynomial must be monic of degree >= 1")
     if poly_gcd(f, f.derivative()).degree != 0:
         raise ValueError("defining polynomial must be squarefree")
-    return ExtField(QQ_DOMAIN, f, name=name or f"QQ[x]/({f.render()})")
+    return ExtField(QQ_DOMAIN, f, name=f"QQ[x]/({f.render()})")
 
 
 def roots_in_extension(f: UniPoly, m: int) -> list:

@@ -88,9 +88,6 @@ class MultiPoly:
 
     # -- queries ----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def variables(self) -> set[str]:
         out = set()
         for m in self.terms:
@@ -380,15 +377,15 @@ def parse_poly(text: str) -> MultiPoly:
     return out
 
 
-def parse_unipoly(text: str, dom, var: str = "x"):
-    """Parse a one-variable polynomial and map coefficients into dom."""
+def parse_unipoly(text: str, dom):
+    """Parse a polynomial in x and map coefficients into dom."""
     from .unipoly import UniPoly
 
     p = parse_poly(text)
-    extra = p.variables() - {var}
+    extra = p.variables() - {"x"}
     if extra:
-        raise ValueError(f"unexpected variables {sorted(extra)} (wanted only {var!r})")
-    coeffs = [dom.zero] * (p.degree_in(var) + 1)
+        raise ValueError(f"unexpected variables {sorted(extra)} (wanted only 'x')")
+    coeffs = [dom.zero] * (p.degree_in("x") + 1)
     for m, c in p.terms.items():
         e = m[0][1] if m else 0
         coeffs[e] = dom.add(coeffs[e], dom.of(c))

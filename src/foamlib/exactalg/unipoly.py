@@ -116,18 +116,6 @@ class UniPoly:
             return self
         return UniPoly(self.dom, (self.dom.zero,) * k + self.coeffs)
 
-    def __pow__(self, e: int) -> "UniPoly":
-        if e < 0:
-            raise ValueError("negative power of a polynomial")
-        result = UniPoly.one(self.dom)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def derivative(self) -> "UniPoly":
         dom = self.dom
         out = []

@@ -92,7 +92,6 @@ class Automorphism:
     backend: "FrobeniusBackend"
     level: int
     action: tuple
-    name: str = ""
 
     def __call__(self, a):
         # the images of the nonzero coefficients only: dense Fraction
@@ -110,13 +109,11 @@ class Automorphism:
         if self.level != other.level:
             raise BackendError("cannot compose automorphisms of different levels")
         return Automorphism(self.backend, self.level,
-                            _transpose(map(self, zip(*other.action))),
-                            name=f"{self.name}*{other.name}")
+                            _transpose(map(self, zip(*other.action))))
 
     def inverse(self) -> "Automorphism":
         inv = mat_inverse(self.backend.prime_field, self.action)
-        return Automorphism(self.backend, self.level, tuple(map(tuple, inv)),
-                            name=f"{self.name}^-1")
+        return Automorphism(self.backend, self.level, tuple(map(tuple, inv)))
 
     def is_identity(self) -> bool:
         return all(x == (i == j) for i, row in enumerate(self.action)
@@ -306,8 +303,7 @@ class FrobeniusBackend:
             raise BackendError(f"level {self.level_names[level]!r} of the {self.kind} "
                                "backend has scalar elements, not coefficient tuples, "
                                "so it has no automorphism matrix")
-        return Automorphism(self, level, _identity_matrix(self.prime_field, len(one)),
-                            name="id")
+        return Automorphism(self, level, _identity_matrix(self.prime_field, len(one)))
 
     # --- Galois layer, written once over the hooks below ------------------
 
@@ -554,8 +550,7 @@ class FiniteFieldTower(FrobeniusBackend):
     def frobenius_automorphism(self, level, power: int = 1) -> Automorphism:
         """a -> a^(q0^power), q0 = |ground|."""
         level = self.level_index(level)
-        return Automorphism(self, level, self._map("frob", level, power % self.dim(level)),
-                            name=f"frob^{power}")
+        return Automorphism(self, level, self._map("frob", level, power % self.dim(level)))
 
     # --- Galois hooks ----------------------------------------------------
 
@@ -581,7 +576,7 @@ class FiniteFieldTower(FrobeniusBackend):
     def parse_element(self, level, text: str):
         level = self.level_index(level)
         fld = self.fields[level]
-        poly = parse_unipoly(text, fld, var="x")
+        poly = parse_unipoly(text, fld)
         return poly.eval(fld.gen())
 
 
@@ -593,8 +588,7 @@ class FiniteFieldTower(FrobeniusBackend):
 class RationalNumberField(FrobeniusBackend):
     kind = "numberfield"
 
-    def __init__(self, f: UniPoly, roots: Sequence[UniPoly] | None = None,
-                 names: Sequence[str] = ("k", "F")):
+    def __init__(self, f: UniPoly, roots: Sequence[UniPoly] | None = None):
         if f.dom != QQ_DOMAIN:
             raise BackendError("defining polynomial must be over QQ")
         if not f.is_monic() or f.degree < 1:
@@ -602,7 +596,7 @@ class RationalNumberField(FrobeniusBackend):
         self.f = f
         self.field = NumberField(f)
         self.ground = self.prime_field = QQ_DOMAIN
-        self.level_names = tuple(names)
+        self.level_names = ("k", "F")
         self.roots = None
         if roots is not None:
             imgs = []
@@ -692,7 +686,7 @@ class RationalNumberField(FrobeniusBackend):
         powers = [self.field.one]
         for _ in range(self.f.degree - 1):
             powers.append(self.field.mul(powers[-1], self.roots[index]))
-        sigma = Automorphism(self, 1, _transpose(powers), name=f"root[{index}]")
+        sigma = Automorphism(self, 1, _transpose(powers))
         self.validate_automorphism(sigma)
         return sigma
 
@@ -722,7 +716,7 @@ class RationalNumberField(FrobeniusBackend):
         level = self.level_index(level)
         if level == 0:
             return parse_poly(text).constant_value()
-        return self.field.from_poly(parse_unipoly(text, QQ_DOMAIN, var="x"))
+        return self.field.from_poly(parse_unipoly(text, QQ_DOMAIN))
 
 
 
@@ -831,14 +825,14 @@ class TableAlgebra(FrobeniusBackend):
             acc = dom.add(acc, dom.mul(c, t))
         return acc
 
-    def matrix_automorphism(self, matrix, name: str = "sigma") -> Automorphism:
+    def matrix_automorphism(self, matrix) -> Automorphism:
         dom = self.ground
         if not (isinstance(matrix, (list, tuple)) and len(matrix) == self.n and all(
                 isinstance(row, (list, tuple)) and len(row) == self.n for row in matrix)):
             raise BackendError(f"an automorphism matrix must be {self.n} x {self.n}, "
                                f"got {matrix!r}")
         M = tuple(tuple(dom.of(_frac_of(c)) for c in row) for row in matrix)
-        sigma = Automorphism(self, 0, M, name=name)
+        sigma = Automorphism(self, 0, M)
         self.validate_automorphism(sigma)
         return sigma
 
@@ -1022,4 +1016,4 @@ def scaling_automorphism(alg: TableAlgebra, lam) -> Automorphism:
         [dom.zero, dom.zero, lam_inv, dom.zero],
         [dom.zero, dom.zero, dom.zero, dom.one],
     ]
-    return alg.matrix_automorphism(M, name=f"scale({lam})")
+    return alg.matrix_automorphism(M)

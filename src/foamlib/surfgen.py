@@ -19,35 +19,31 @@ def random_surface(
     rng: random.Random,
     max_facets: int = 5,
     max_seams: int = 6,
-    max_genus: int = 2,
-    max_dots: int = 2,
-    max_circles_per_facet: int = 4,
     levels=None,
 ) -> DecoratedSurface:
+    """Each facet gets genus at most 2, at most 2 dots and at most 4 circles."""
     if levels is None:
         levels = list(range(backend.num_levels))
     n_f = rng.randint(1, max_facets)
-    genus = [rng.randint(0, max_genus) for _ in range(n_f)]
+    genus = [rng.randint(0, 2) for _ in range(n_f)]
     flevel = [rng.choice(levels) for _ in range(n_f)]
     dots: list[list] = []
     for i in range(n_f):
         dots.append([
             backend.random_element(flevel[i], rng)
-            for _ in range(rng.randint(0, max_dots))
+            for _ in range(rng.randint(0, 2))
         ])
     boundary: list[list[str]] = [[] for _ in range(n_f)]
     seams = []
     circle_no = 0
     n_s = rng.randint(0, max_seams)
     for _ in range(n_s):
-        open_facets = [
-            i for i in range(n_f) if len(boundary[i]) < max_circles_per_facet
-        ]
+        open_facets = [i for i in range(n_f) if len(boundary[i]) < 4]
         if len(open_facets) == 0:
             break
         a = rng.choice(open_facets)
         b = rng.choice(open_facets)
-        if a == b and len(boundary[a]) > max_circles_per_facet - 2:
+        if a == b and len(boundary[a]) > 2:
             continue
         ca = f"c{circle_no}"
         circle_no += 1
@@ -87,10 +83,10 @@ def random_surface_with_pattern(
     backend: FrobeniusBackend,
     rng: random.Random,
     pattern: str,
-    low_level: int = 1,
-    high_level: int = 2,
 ) -> DecoratedSurface:
-    """A random surface guaranteed to contain one skein-rewrite pattern."""
+    """A random surface on levels 1 and 2 guaranteed to contain one
+    skein-rewrite pattern."""
+    low_level, high_level = 1, 2
     s = random_surface(backend, rng, max_facets=3, max_seams=3,
                        levels=[low_level, high_level])
     facets = list(s.facets)

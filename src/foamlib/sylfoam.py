@@ -29,15 +29,17 @@ assigns an ordered set partition to each flower; its term is
 Petal dots are symmetric polynomials written in slot variables s1..sk;
 symmetry is validated on adjacent transpositions.
 
-Identity verifiers run in two modes.  "symbolic" expands both sides
+Identity verifiers compare two term lists (a closed side is the one term
+with that polynomial) in two modes.  "symbolic" expands both sides
 exactly (a proof).  "grid" evaluates both sides in integers along one
-line, variable i taking the value 1 + i*(D+2) + i^2*t for t = 0..D, where
-D is the total degree of the difference of the sides times the
-Vandermonde product of the delta alphabets (`cleared_degree`).  No two
-variables meet on that line, so no denominator vanishes, and the
-differences v_i - v_j = (i-j)(D+2+(i+j)t) vary along it.  The D + 1
-points prove that the identity holds on the whole line; that is
-evidence, not a symbolic proof.
+line: the variables of the terms, in sorted order, are v_0, v_1, ...,
+and v_i takes the value 1 + i*(D+2) + i^2*t for t = 0..D, where D is the
+total degree of the difference of the sides times the Vandermonde
+product of the delta alphabets (`cleared_degree`).  No two variables
+meet on that line, so no denominator vanishes, and the differences
+v_i - v_j = (i-j)(D+2+(i+j)t) vary along it.  The D + 1 points prove
+that the identity holds on the whole line; that is evidence, not a
+symbolic proof.
 """
 
 from __future__ import annotations
@@ -205,17 +207,15 @@ def _from_dense(d: dict, names: list[str], width: int) -> MultiPoly:
     return MultiPoly(terms)
 
 
-def cleared_degree(terms: Sequence[Term], delta_alphabets: Sequence[Sequence[str]],
-                   polys: Sequence[MultiPoly] = ()) -> int:
+def cleared_degree(terms: Sequence[Term], delta_alphabets: Sequence[Sequence[str]]) -> int:
     """Total degree bound of a term sum times V, the Vandermonde product.
 
     A term times V is a polynomial of degree deg V + len(lin) +
     sum(deg polys) - len(den) when its denominator factors are distinct
-    factors of V, which is checked; a closed polynomial in `polys` times V
-    has degree deg V + deg p.  The bound is the largest of these.
+    factors of V, which is checked.  The bound is the largest of these.
     """
     pairs = {frozenset(f) for vs in delta_alphabets for f in vandermonde_factors(vs)}
-    top = max((p.total_degree() for p in polys), default=0)
+    top = 0
     for t in terms:
         den = {frozenset(f) for f in t.den}
         if len(den) != len(t.den) or not den <= pairs:
@@ -307,8 +307,7 @@ def evaluate_terms_at(terms: Iterable[Term], assignment) -> Fraction:
 # Sylvester double sums
 
 
-def sylvester_terms(A: VarAlphabet, B: VarAlphabet, p: int, q: int,
-                    x: str = "x"):
+def sylvester_terms(A: VarAlphabet, B: VarAlphabet, p: int, q: int):
     m, n = len(A), len(B)
     if not (0 <= p <= m and 0 <= q <= n):
         raise FoamValueError(f"(p, q) = {(p, q)} out of range for ({m}, {n})")
@@ -318,17 +317,16 @@ def sylvester_terms(A: VarAlphabet, B: VarAlphabet, p: int, q: int,
             Bc = [b for b in B.variables if b not in Bp]
             lin = (
                 r_factors(Ap, Bp) + r_factors(Ac, Bc)
-                + r_factors([x], Ap) + r_factors([x], Bp)
+                + r_factors(["x"], Ap) + r_factors(["x"], Bp)
             )
             yield Term((), tuple(lin), tuple(r_factors(Ap, Ac) + r_factors(Bp, Bc)))
 
 
 @lru_cache(maxsize=256)
-def sylvester_double_sum(A: VarAlphabet, B: VarAlphabet, p: int, q: int,
-                         x: str = "x") -> MultiPoly:
+def sylvester_double_sum(A: VarAlphabet, B: VarAlphabet, p: int, q: int) -> MultiPoly:
     """Syl_{p,q}(A,B)(x), a polynomial of x-degree at most p + q."""
     return fraction_free_sum(
-        sylvester_terms(A, B, p, q, x), [A.variables, B.variables]
+        sylvester_terms(A, B, p, q), [A.variables, B.variables]
     )
 
 
@@ -444,9 +442,7 @@ class OverlapDiagram:
                         )
 
 
-def _dot_value(dot, color_vars) -> MultiPoly:
-    if dot is None:
-        return MultiPoly.one()
+def _dot_value(dot: MultiPoly, color_vars) -> MultiPoly:
     mapping = dict(zip(slots(len(color_vars)), color_vars))
     return dot.subs_vars(mapping)
 
@@ -499,23 +495,15 @@ def evaluate_overlap(diagram: OverlapDiagram) -> MultiPoly:
     return fraction_free_sum(overlap_terms(diagram), _diagram_deltas(diagram))
 
 
-def diagram_variables(diagram: OverlapDiagram) -> list[str]:
-    out = []
-    for _, c in diagram.components:
-        out.extend(c.alphabet.variables)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Diagram families from the closed formulas
 
 
-def diagram_sylvester(A: VarAlphabet, B: VarAlphabet, p: int, q: int,
-                      x: str = "x") -> OverlapDiagram:
+def diagram_sylvester(A: VarAlphabet, B: VarAlphabet, p: int, q: int) -> OverlapDiagram:
     """Two seamed 2-spheres plus a thickness-one surface; four circles."""
     fa = FlowerFoam(A, (p, len(A) - p))
     fb = FlowerFoam(B, (q, len(B) - q))
-    fx = MaxSurface(VarAlphabet("X", (x,)))
+    fx = MaxSurface(VarAlphabet("X", ("x",)))
     return OverlapDiagram(
         (("A", fa), ("B", fb), ("X", fx)),
         (
@@ -703,25 +691,20 @@ def grid_assignments(variables: Sequence[str], degree: int):
         yield {v: 1 + i * step + i * i * t for i, v in enumerate(vs)}
 
 
-def _check_identity(lhs_terms, rhs_terms, variables, delta_alphabets,
-                    mode: str, lhs_value: MultiPoly | None = None) -> bool:
-    """Compare two subset sums; lhs may instead be a closed polynomial."""
-    lhs = [] if lhs_value is not None else list(lhs_terms())
-    rhs = list(rhs_terms())
+def _check_identity(lhs: Iterable[Term], rhs: Iterable[Term],
+                    delta_alphabets, mode: str) -> bool:
+    """Compare two term sums; the grid runs over the terms' variables."""
+    lhs, rhs = list(lhs), list(rhs)
     if mode == "symbolic":
-        left = (lhs_value if lhs_value is not None
-                else fraction_free_sum(lhs, delta_alphabets))
-        return left == fraction_free_sum(rhs, delta_alphabets)
+        return (fraction_free_sum(lhs, delta_alphabets)
+                == fraction_free_sum(rhs, delta_alphabets))
     if mode != "grid":
         raise FoamValueError(f"unknown mode {mode!r}")
-    closed = () if lhs_value is None else (lhs_value,)
-    degree = cleared_degree(lhs + rhs, delta_alphabets, closed)
-    for assignment in grid_assignments(variables, degree):
-        left = (lhs_value.eval(assignment) if lhs_value is not None
-                else evaluate_terms_at(lhs, assignment))
-        if left != evaluate_terms_at(rhs, assignment):
-            return False
-    return True
+    terms = lhs + rhs
+    points = grid_assignments(_collect_variables(terms, delta_alphabets),
+                              cleared_degree(terms, delta_alphabets))
+    return all(evaluate_terms_at(lhs, pt) == evaluate_terms_at(rhs, pt)
+               for pt in points)
 
 
 def verify_exchange(m: int, n: int, mode: str = "symbolic") -> list:
@@ -736,8 +719,7 @@ def verify_exchange(m: int, n: int, mode: str = "symbolic") -> list:
         B = alphabet("B", n)
         X = alphabet("X", m + n - 2 * d)
         lhs, rhs = exchange_sides_terms(A, B, X, d)
-        variables = A.variables + B.variables + X.variables
-        ok = _check_identity(lhs, rhs, variables, [A.variables, B.variables], mode)
+        ok = _check_identity(lhs(), rhs(), [A.variables, B.variables], mode)
         report.append({"d": d, "size_x": len(X), "ok": ok})
     return report
 
@@ -753,9 +735,7 @@ def verify_chen_louck(m: int, d: int, f: MultiPoly | None = None,
     A = alphabet("A", m)
     X = alphabet("X", k)
     lhs_value, rhs = chen_louck_sides(A, X, d, f)
-    variables = A.variables + X.variables
-    ok = _check_identity(None, rhs, variables, [A.variables], mode,
-                         lhs_value=lhs_value)
+    ok = _check_identity([Term((lhs_value,), (), ())], rhs(), [A.variables], mode)
     return {"m": m, "d": d, "ok": ok}
 
 
@@ -766,14 +746,11 @@ def verify_dksv(m: int, n: int, d: int, size_x: int, size_e: int,
     X = alphabet("X", size_x)
     E = alphabet("E", size_e)
     lhs, rhs = dksv_sides(A, B, X, E, d)
-    variables = A.variables + B.variables + X.variables + E.variables
-    ok = _check_identity(lhs, rhs, variables, [A.variables, E.variables], mode)
+    ok = _check_identity(lhs(), rhs(), [A.variables, E.variables], mode)
     return {"m": m, "n": n, "d": d, "size_x": size_x, "size_e": size_e, "ok": ok}
 
 
 def overlap_matches_polynomial(diagram: OverlapDiagram, poly_terms) -> bool:
     """Grid-mode equality of a diagram's state sum and a term sum."""
-    return _check_identity(
-        lambda: overlap_terms(diagram), poly_terms, diagram_variables(diagram),
-        _diagram_deltas(diagram), "grid",
-    )
+    return _check_identity(overlap_terms(diagram), poly_terms(),
+                           _diagram_deltas(diagram), "grid")

@@ -408,15 +408,20 @@ def _seam_insertions(s, seam, be):
 # Coloring evaluator
 
 
-def evaluate_coloring(s: DecoratedSurface):
-    """Sum over root colorings; separable tower/number-field backends only."""
-    require_valid(s)
-    be = s.backend
+def require_coloring_backend(be) -> None:
+    """Only separable tower and number-field backends have root colorings."""
     if not isinstance(be, (FiniteFieldTower, RationalNumberField)):
         raise SurfaceError(
             "coloring evaluation needs a separable field backend "
             f"(got {be.kind})"
         )
+
+
+def evaluate_coloring(s: DecoratedSurface):
+    """Sum over root colorings; separable tower/number-field backends only."""
+    require_valid(s)
+    be = s.backend
+    require_coloring_backend(be)
     omega = be.splitting_field()
 
     embeddings = {lv: be.embeddings(lv) for lv in {f.level for f in s.facets}}

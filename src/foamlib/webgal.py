@@ -60,12 +60,6 @@ class LaurentQ:
             raise WebError("quantum integer of a negative number")
         return LaurentQ({m - 1 - 2 * i: 1 for i in range(m)})
 
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentQ(out)
-
     def __mul__(self, other):
         out: dict[int, int] = {}
         for e1, c1 in self.coeffs.items():

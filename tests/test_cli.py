@@ -127,6 +127,17 @@ def test_verify_exchange(capsys):
     assert out.count("PASS") == 4  # d = 0..3
 
 
+@pytest.mark.parametrize("mode", ["symbolic", "grid"])
+def test_verify_chenlouck(mode, capsys):
+    for f in ([], ["--f", "s1^2 + s2^2 + 3"]):
+        assert run(["verify", "chenlouck", "--m", "4", "--d", "2",
+                    "--mode", mode] + f) == 0
+        assert "PASS  chenlouck m=4 d=2" in capsys.readouterr().out
+    # a dot that is not symmetric in the slots is bad input
+    assert run(["verify", "chenlouck", "--m", "4", "--d", "2", "--mode", mode,
+                "--f", "s1"]) == 2
+
+
 def test_verify_sylvester(capsys):
     code = run(["verify", "sylvester", "--m", "2", "--n", "1",
                 "--p", "1", "--q", "0"])
@@ -191,6 +202,12 @@ def test_suite_smoke(capsys):
     assert "FAIL" not in out
 
 
+def test_suite_full(capsys):
+    assert run(["--json", "suite", "full"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [a["status"] for a in report["assertions"]] == ["PASS"] * 13
+
+
 def test_json_deterministic(capsys):
     run(["--json", "wreath", "d4-table"])
     first = capsys.readouterr().out
@@ -210,11 +227,12 @@ def test_missing_file_exit_2():
 
 
 def test_failing_assertion_exit_1(tmp_path, capsys):
-    # a sphere labeled with one field evaluates to [F:k] mod p; force a FAIL
-    # by checking both evaluators on a table backend (unsupported coloring)
+    # QQ[x]/(x^3 - x) is not a field: its "roots" x, -x, 0 are no field
+    # embeddings, so the coloring sum 2x^2 for a sphere dotted x^2 is not
+    # rational while the neck gives tr(x^2) = 2; the coloring assertion FAILs
     doc = {
-        "backend": NILPOTENT_BACKEND,
-        "facets": [{"id": "f", "genus": 0, "label": "A", "dots": [],
+        "backend": {"kind": "numberfield", "f": "x^3-x", "roots": ["x", "-x", "0"]},
+        "facets": [{"id": "f", "genus": 0, "label": "F", "dots": ["x^2"],
                     "boundary": []}],
         "seams": [],
     }
@@ -223,7 +241,18 @@ def test_failing_assertion_exit_1(tmp_path, capsys):
     code = run(["tqft", "eval", "--surface", str(path), "--both"])
     out = capsys.readouterr().out
     assert code == 1
-    assert "FAIL" in out
+    assert "FAIL  evaluate_coloring  = coloring evaluation produced a value " \
+        "outside the ground field" in out
+
+
+def test_both_on_a_table_backend_exit_2(torus_sigma_file, capsys):
+    # a table algebra has no root colorings: asking for them is bad input
+    code = run(["--json", "tqft", "eval", "--surface", torus_sigma_file, "--both"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "coloring evaluation needs a separable field backend (got table)" \
+        in captured.err
 
 
 # ------------------------------------------- bad input exits 2, never raises
@@ -344,6 +373,24 @@ def test_id_sigma_on_the_rational_level_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "automorphism" in err
     assert "Traceback" not in err
+
+
+def test_number_field_dot_on_the_rational_level(tmp_path, capsys):
+    # a dot on level k of a number field is a rational constant
+    nf = {"kind": "numberfield", "f": "x^2-2", "roots": ["x", "-x"]}
+    path = tmp_path / "s.json"
+
+    def sphere(dot):
+        path.write_text(json.dumps({"backend": nf, "seams": [], "facets": [
+            {"id": "f", "genus": 0, "label": "k", "dots": [dot], "boundary": []}]}))
+        return run(["--json", "tqft", "eval", "--surface", str(path), "--both"])
+
+    assert sphere("1/3") == 0
+    report = json.loads(capsys.readouterr().out)
+    values = {a["name"]: a["value"] for a in report["assertions"]}
+    assert values["evaluate_neck"] == values["evaluate_coloring"] == "1/3"
+    assert sphere("x") == 2
+    assert "not a constant polynomial: x" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", sorted(_MALFORMED_SURFACES))

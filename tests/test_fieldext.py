@@ -257,7 +257,7 @@ def test_nonsemisimple_char2_automorphism_accepted():
     # sigma(a) = a + b, sigma(b) = b over GF(2): epsilon-compatible
     alg = nilpotent_square_algebra(ground=zmod(2))
     M = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]]
-    sig = alg.matrix_automorphism(M, name="shear")
+    sig = alg.matrix_automorphism(M)
     a = alg.parse_element(0, "a")
     b = alg.parse_element(0, "b")
     assert sig(a) == alg.add(0, a, b)

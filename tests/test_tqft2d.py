@@ -253,7 +253,7 @@ def test_defect_composition_noncommutative_table():
     alg = nilpotent_square_algebra()
     scale = scaling_automorphism(alg, 5)
     swap = alg.matrix_automorphism(
-        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], name="swap"
+        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
     )
     assert scale.compose(swap).action != swap.compose(scale).action
     x = alg.parse_element(0, "1 + 2*a")
@@ -464,6 +464,18 @@ def test_skein_rewrites_preserve_evaluation(pattern):
     for _ in range(12):
         s = random_surface_with_pattern(TOWER3, rng, pattern)
         assert skein_rewrite_check(pattern, s)
+
+
+def test_remove_k_disk_over_a_number_field():
+    # removing the dotless upper disk of S^2(a, -) over Q(sqrt2) leaves the
+    # relative trace Tr(1) = 2 as a dot on the rational disk
+    sqrt2 = make_backend({"kind": "numberfield", "f": "x^2-2", "roots": ["x", "-x"]})
+    a = sqrt2.parse_element("k", "5/3")
+    s = seamed_sphere(sqrt2, "k", "F", a=a)
+    t = skein_rewrite("remove_k_disk", s)
+    assert [f.dots for f in t.facets] == [(a, 2)]
+    assert skein_rewrite_check("remove_k_disk", s)
+    assert evaluate_coloring(s) == evaluate_coloring(t) == evaluate_neck(s) == Fraction(10, 3)
 
 
 def test_rewrite_pattern_mismatch():
