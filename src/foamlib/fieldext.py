@@ -617,6 +617,13 @@ class RationalNumberField(FrobeniusBackend):
                 raise BackendError(
                     "the root list must contain the generator itself ('x')"
                 )
+            for r, img in zip(roots, imgs):
+                try:
+                    mat_inverse(QQ_DOMAIN, self._power_matrix(img))
+                except ValueError:
+                    raise BackendError(
+                        f"supplied root {r.render()} is no field embedding: "
+                        "its power matrix is singular") from None
             self.roots = tuple(imgs)
 
     def dim(self, level: int) -> int:
@@ -679,14 +686,18 @@ class RationalNumberField(FrobeniusBackend):
                 "Galois operations need splitting data: supply all roots of f"
             )
 
-    def automorphism_by_root(self, index: int) -> Automorphism:
-        """The automorphism sending the generator to roots[index]: column k
-        of its matrix is roots[index]^k."""
-        self._need_roots()
+    def _power_matrix(self, root) -> tuple:
+        """The matrix of the map sending the generator to root: column k is
+        root^k."""
         powers = [self.field.one]
         for _ in range(self.f.degree - 1):
-            powers.append(self.field.mul(powers[-1], self.roots[index]))
-        sigma = Automorphism(self, 1, _transpose(powers))
+            powers.append(self.field.mul(powers[-1], root))
+        return _transpose(powers)
+
+    def automorphism_by_root(self, index: int) -> Automorphism:
+        """The automorphism sending the generator to roots[index]."""
+        self._need_roots()
+        sigma = Automorphism(self, 1, self._power_matrix(self.roots[index]))
         self.validate_automorphism(sigma)
         return sigma
 

@@ -45,6 +45,7 @@ symbolic proof.
 from __future__ import annotations
 
 import itertools
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -107,21 +108,28 @@ class Term:
 
 # Dense engine: monomials are exponent vectors packed into one integer,
 # `width` bits per variable, so multiplying by a variable is an integer add.
-# fraction_free_sum sizes the width from the cleared degree, which bounds
-# every exponent it builds; it never goes below _MIN_WIDTH bits.
-_MIN_WIDTH = 8
+# fraction_free_sum takes the narrowest machine word (8 to 64 bits) that
+# holds the cleared degree, which bounds every exponent it builds, so
+# _from_dense decodes every key on one path, a bytes-to-words cast, and
+# shares one (variable, exponent) pair per variable and exponent among
+# the monomials it returns.
+_WORD_FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"}  # bytes per word -> memoryview cast
 
 
 def _dense_mul_linear(d: dict, su: int, sv: int) -> dict:
+    # shifting keys is injective, so the u half needs no lookups; a key of
+    # the -v half meets at most one u-half key, and is dropped if it cancels
     bu, bv = 1 << su, 1 << sv
-    out: dict[int, object] = {}
+    out = {k + bu: c for k, c in d.items()}
+    get = out.get
     for k, c in d.items():
-        ku = k + bu
-        out[ku] = out.get(ku, 0) + c
-    for k, c in d.items():
-        kv = k + bv
-        out[kv] = out.get(kv, 0) - c
-    return {k: c for k, c in out.items() if c}
+        k += bv
+        c = get(k, 0) - c
+        if c:
+            out[k] = c
+        else:
+            out.pop(k, None)
+    return out
 
 
 def _dense_mul(d1: dict, d2: dict) -> dict:
@@ -137,33 +145,35 @@ def _dense_divexact_linear(d: dict, su: int, sv: int, mask: int) -> dict:
     """Exact synthetic division by (u - v) on packed keys."""
     if not d:
         return {}
+    # keys are distinct, so each (u-degree, rest) slot is filled once
     by_deg: dict[int, dict[int, object]] = {}
-    top = 0
     for k, c in d.items():
         e = (k >> su) & mask
-        rest = k - (e << su)
-        by_deg.setdefault(e, {})[rest] = by_deg.setdefault(e, {}).get(rest, 0) + c
-        if e > top:
-            top = e
+        try:
+            by_deg[e][k - (e << su)] = c
+        except KeyError:
+            by_deg[e] = {k - (e << su): c}
     bv = 1 << sv
     quot: dict[int, object] = {}
-    carry: dict[int, object] = {}
-    for e in range(top, 0, -1):
-        level = by_deg.get(e, {})
-        for k, c in level.items():
-            carry[k] = carry.get(k, 0) + c
+    carry: dict[int, object] = {}  # no zero values
+    for e in range(max(by_deg), 0, -1):
+        level = by_deg.get(e)
+        if level:
+            get = carry.get
+            for k, c in level.items():
+                c += get(k, 0)
+                if c:
+                    carry[k] = c
+                else:
+                    carry.pop(k, None)
         # carry now holds the quotient coefficient of u^(e-1)
         base = (e - 1) << su
-        nxt: dict[int, object] = {}
-        for k, c in carry.items():
-            if c:
-                quot[base + k] = c
-                nxt[k + bv] = c
-        carry = nxt
-    rem = dict(by_deg.get(0, {}))
-    for k, c in carry.items():
-        rem[k] = rem.get(k, 0) + c
-    if any(c for c in rem.values()):
+        quot.update({base + k: c for k, c in carry.items()})
+        carry = {k + bv: c for k, c in carry.items()}
+    # the remainder, level 0 plus the carry, must vanish
+    rem = by_deg.get(0, {})
+    if (any(c + rem.get(k, 0) for k, c in carry.items())
+            or any(c for k, c in rem.items() if k not in carry)):
         raise ArithmeticError("dense linear division is not exact")
     return quot
 
@@ -194,17 +204,25 @@ def _to_dense(p: MultiPoly, shift_of: dict) -> dict:
     return out
 
 
-def _from_dense(d: dict, names: list[str], width: int) -> MultiPoly:
-    mask = (1 << width) - 1
-    terms = {}
-    for k, c in d.items():
-        mono = []
-        for i, nm in enumerate(names):
-            e = (k >> (width * i)) & mask
-            if e:
-                mono.append((nm, e))
-        terms[tuple(mono)] = c
-    return MultiPoly(terms)
+def _from_dense(d: dict, names: list[str], width: int, degree: int) -> MultiPoly:
+    """Unpack a packed dict whose exponents are at most `degree`.
+
+    Each key is written out as bytes and read back as machine words of
+    `width` bits, one exponent each; each monomial is built from one
+    shared (variable, exponent) pair per variable and exponent.  Zero
+    coefficients are dropped.
+    """
+    size = width // 8
+    nbytes = size * len(names)
+    # pairs[i][e] is (names[i], e); pairs[i][0] is None and is filtered out
+    pairs = [[None] + [(nm, e) for e in range(1, degree + 1)] for nm in names]
+    if sys.byteorder == "big":  # the native words come highest variable first
+        pairs.reverse()
+    fmt, order, getitem = _WORD_FORMAT[size], sys.byteorder, list.__getitem__
+    return MultiPoly._raw({
+        tuple(filter(None, map(getitem, pairs,
+                               memoryview(k.to_bytes(nbytes, order)).cast(fmt)))): c
+        for k, c in d.items() if c})
 
 
 def cleared_degree(terms: Sequence[Term], delta_alphabets: Sequence[Sequence[str]]) -> int:
@@ -244,7 +262,8 @@ def fraction_free_sum(terms: Iterable[Term],
     names = _collect_variables(terms, delta_alphabets)
     # checks every denominator against V; L divides V, so no product below
     # exceeds the cleared degree
-    width = max(_MIN_WIDTH, cleared_degree(terms, delta_alphabets).bit_length())
+    degree = cleared_degree(terms, delta_alphabets)
+    width = min(8 * size for size in _WORD_FORMAT if degree >> (8 * size) == 0)
     mask = (1 << width) - 1
     shift_of = {nm: width * i for i, nm in enumerate(names)}
 
@@ -258,6 +277,7 @@ def fraction_free_sum(terms: Iterable[Term],
     common = Counter({f: k for f, k in common.items() if frozenset(f) not in lcm})
 
     acc: dict[int, object] = {}
+    get = acc.get
     for term in terms:
         den = {frozenset(f) for f in term.den}
         cur = {0: (-1) ** sum(f != lcm[frozenset(f)] for f in term.den)}
@@ -269,12 +289,12 @@ def fraction_free_sum(terms: Iterable[Term],
         for u, v in (Counter(term.lin) - common).elements():
             cur = _dense_mul_linear(cur, shift_of[u], shift_of[v])
         for k, c in cur.items():
-            acc[k] = acc.get(k, 0) + c
+            acc[k] = get(k, 0) + c
     for u, v in lcm.values():
         acc = _dense_divexact_linear(acc, shift_of[u], shift_of[v], mask)
     for u, v in common.elements():
         acc = _dense_mul_linear(acc, shift_of[u], shift_of[v])
-    return _from_dense(acc, names, width)
+    return _from_dense(acc, names, width, degree)
 
 
 def evaluate_terms_at(terms: Iterable[Term], assignment) -> Fraction:

@@ -25,6 +25,13 @@ n involutions for G(n); doubled onto both halves it gives the 2(n-1)
 generators of H = G(n-1) x G(n-1).  Class counts are always counted as
 orbits of the enumerated group, never read off the recursion.
 
+The tables are not read off composed permutations.  An index of G(n)
+spells out its element as beta^r o (a x b) with a, b in G(n-1), so the
+multiplication tables of G(n) follow from those of G(n-1) by index
+arithmetic (the rules are stated above `_lift`).  They are arrays of
+machine integers; the multiplication tables are kept only for the levels
+below the one being built, the conjugation tables per n.
+
 The dihedral character data for G(2) lives here as an explicit table and
 is verified (orthogonality, restriction to the permutation module, the
 tensor decompositions) rather than derived.
@@ -34,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import random
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -186,17 +194,66 @@ def _index(n: int) -> dict:
     return {g: i for i, g in enumerate(_elements(n))}
 
 
-def _index_tables(n: int, maps) -> list[list[int]]:
-    """table[k][i] is the index of maps[k](G(n)[i])."""
-    index = _index(n)
-    return [[index[f(g)] for g in _elements(n)] for f in maps]
+# Index tables.  With M = |G(n-1)|, the element of index r*M^2 + i*M + j is
+# beta^r o (a x b), a = G(n-1)[i], b = G(n-1)[j], and since
+# (a x b) o beta = beta o (b x a), multiplying it by a generator moves its
+# index by the rules
+#     beta o .           (r, i, j) -> (1-r, i, j)
+#     . o beta           (r, i, j) -> (1-r, j, i)
+#     (f x g) o .        (0, i, j) -> (0, f i, g j),  (1, i, j) -> (1, g i, f j)
+#     . o (f x g)        (r, i, j) -> (r, i f, j g)
+# where f i is the index of f o G(n-1)[i] and i f that of G(n-1)[i] o f.  So
+# the tables of G(n) follow from those of G(n-1) by index arithmetic alone.
+
+
+def _lift(images) -> array:
+    """The table sending r*M^2 + i*M + j to hi[i] + lo[j], (hi, lo) = images[r]."""
+    return array("l", [a + b for hi, lo in images for a in hi for b in lo])
+
+
+def _block(M: int, f, g) -> tuple[array, array]:
+    """Left and right multiplication by f x g on G(n), from the (left, right)
+    tables of f and of g on G(n-1)."""
+    (fl, fr), (gl, gr) = f, g
+    top = M * M
+    return (_lift([([x * M for x in fl], gl), ([top + x * M for x in gl], fl)]),
+            _lift([([x * M for x in fr], gr), ([top + x * M for x in fr], gr)]))
+
+
+def _generator_tables(n: int) -> list[tuple[array, array]]:
+    """(left, right) multiplication tables on G(n) of each of generators(n):
+    beta, then each generator of G(n-1) on the first half."""
+    if n == 0:
+        return []
+    M = len(_elements(n - 1))
+    ids, rows = range(M), [i * M for i in range(M)]
+    top = M * M
+    beta = (_lift([([top + a for a in rows], ids), (rows, ids)]),
+            _lift([([top + i for i in ids], rows), (ids, rows)]))
+    return [beta] + [_block(M, t, (ids, ids)) for t in _lower_generator_tables(n - 1)]
 
 
 @functools.cache
-def _conjugation_tables(n: int) -> tuple[tuple[int, ...], ...]:
+def _lower_generator_tables(n: int) -> list[tuple[array, array]]:
+    """_generator_tables(n), kept for building level n + 1."""
+    return _generator_tables(n)
+
+
+@functools.cache
+def _conjugation_tables(n: int) -> tuple[array, ...]:
     """Per generator s (an involution): index i -> index of s G(n)[i] s."""
-    maps = [lambda g, s=s: p_compose(p_compose(s, g), s) for s in generators(n)]
-    return tuple(map(tuple, _index_tables(n, maps)))
+    return tuple(array("l", map(left.__getitem__, right))
+                 for left, right in _generator_tables(n))
+
+
+def _mackey_tables(n: int) -> list[array]:
+    """Left, then right, multiplication on G(n) by the generators of
+    H = G(n-1) x G(n-1): g x 1 and 1 x g for each generator g of G(n-1)."""
+    M = len(_elements(n - 1))
+    ident = (range(M), range(M))
+    blocks = [b for t in _lower_generator_tables(n - 1)
+              for b in (_block(M, t, ident), _block(M, ident, t))]
+    return [left for left, _ in blocks] + [right for _, right in blocks]
 
 
 def _orbits(tables, size: int, starts) -> list[list[int]]:
@@ -282,19 +339,14 @@ def mackey_orbit_check(n: int) -> dict:
         raise ValueError("n >= 1")
     if n > 4:
         raise ValueError("desk-scale only (n <= 4)")
-    hgens = [s for pair in _factor_generators(n) for s in pair]
-    maps = [functools.partial(p_compose, s) for s in hgens]
-    maps += [lambda g, s=s: p_compose(g, s) for s in hgens]
-    tables = _index_tables(n, maps)
-    index = _index(n)
-
-    beta = beta_perm(n)
-    o1, o2 = (set(_orbits(tables, len(index), [index[x]])[0])
-              for x in (p_identity(2**n), beta))
+    tables = _mackey_tables(n)
+    size = len(_elements(n))
+    # in wreath order the identity has index 0 and beta index size / 2
+    o1, o2 = (set(_orbits(tables, size, [i])[0]) for i in (0, size // 2))
     h_order = 2 ** (2**n - 2)
     report = {
         "orbit_sizes": sorted((len(o1), len(o2))),
-        "two_orbits_cover": len(o1 | o2) == len(index) and not (o1 & o2),
+        "two_orbits_cover": len(o1 | o2) == size and not (o1 & o2),
         "sizes_ok": len(o1) == len(o2) == h_order,
     }
     report["twist_ok"] = _twist_ok(n)

@@ -226,12 +226,15 @@ def test_missing_file_exit_2():
     assert run(["tqft", "eval", "--surface", "/nonexistent.json"]) == 2
 
 
-def test_failing_assertion_exit_1(tmp_path, capsys):
-    # QQ[x]/(x^3 - x) is not a field: its "roots" x, -x, 0 are no field
-    # embeddings, so the coloring sum 2x^2 for a sphere dotted x^2 is not
-    # rational while the neck gives tr(x^2) = 2; the coloring assertion FAILs
+def test_failing_assertion_exit_1(tmp_path, capsys, monkeypatch):
+    # every check holds on valid input, so the FAIL is forced: a coloring
+    # evaluation that is off by one must be reported, with exit 1
+    from foamlib import tqft2d
+
+    evaluate = tqft2d.evaluate_coloring
+    monkeypatch.setattr(tqft2d, "evaluate_coloring", lambda s: evaluate(s) + 1)
     doc = {
-        "backend": {"kind": "numberfield", "f": "x^3-x", "roots": ["x", "-x", "0"]},
+        "backend": {"kind": "numberfield", "f": "x^2-2", "roots": ["x", "-x"]},
         "facets": [{"id": "f", "genus": 0, "label": "F", "dots": ["x^2"],
                     "boundary": []}],
         "seams": [],
@@ -241,8 +244,29 @@ def test_failing_assertion_exit_1(tmp_path, capsys):
     code = run(["tqft", "eval", "--surface", str(path), "--both"])
     out = capsys.readouterr().out
     assert code == 1
-    assert "FAIL  evaluate_coloring  = coloring evaluation produced a value " \
-        "outside the ground field" in out
+    assert "PASS  evaluate_neck  = 4" in out
+    assert "PASS  evaluate_coloring  = 5" in out
+    assert "FAIL  evaluators_agree" in out
+
+
+def test_number_field_root_that_is_no_embedding_exit_2(tmp_path, capsys):
+    # QQ[x]/(x^3 - x) is not a field: the "root" 0 satisfies f but sends
+    # x^2 and x to 0 alike, so it gives no field embedding; bad input
+    doc = {
+        "backend": {"kind": "numberfield", "f": "x^3-x", "roots": ["x", "-x", "0"]},
+        "facets": [{"id": "f", "genus": 0, "label": "F", "dots": ["x^2"],
+                    "boundary": []}],
+        "seams": [],
+    }
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    code = run(["tqft", "eval", "--surface", str(path), "--both"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "supplied root 0 is no field embedding: its power matrix is singular" \
+        in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_both_on_a_table_backend_exit_2(torus_sigma_file, capsys):

@@ -432,6 +432,119 @@ def test_fraction_free_sum_matches_reference_on_random_terms():
     check()
 
 
+# ------------------------------------------ dense kernels on packed dicts
+
+_PACKED_NAMES = ("a", "b", "c")
+
+
+def _packed_dicts(width, exponents):
+    """Packed dicts over a, b, c, `width` bits each, zero values included."""
+    from fractions import Fraction
+
+    from hypothesis import strategies as st
+
+    key = st.tuples(*[st.sampled_from(exponents)] * 3).map(
+        lambda es: sum(e << (width * i) for i, e in enumerate(es)))
+    coeff = st.one_of(st.integers(-3, 3),
+                      st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+    return st.dictionaries(key, coeff, max_size=10)
+
+
+def _term_by_term(d, width):
+    """The MultiPoly of a packed dict, one term per key; drops zeros."""
+    mask = (1 << width) - 1
+    return MultiPoly({
+        tuple((nm, (k >> (width * i)) & mask)
+              for i, nm in enumerate(_PACKED_NAMES) if (k >> (width * i)) & mask): c
+        for k, c in d.items()})
+
+
+def _linear_factors():
+    from hypothesis import strategies as st
+
+    return st.permutations(range(3)).map(lambda p: (p[0], p[1]))
+
+
+def test_dense_mul_linear_is_multiplication_by_u_minus_v():
+    from hypothesis import given, settings
+
+    from foamlib.sylfoam import _dense_mul_linear
+
+    @settings(max_examples=150, deadline=None)
+    @given(_packed_dicts(8, range(4)), _linear_factors())
+    def check(d, uv):
+        u, v = uv
+        got = _dense_mul_linear(d, 8 * u, 8 * v)
+        factor = MultiPoly.var(_PACKED_NAMES[u]) - MultiPoly.var(_PACKED_NAMES[v])
+        assert _term_by_term(got, 8) == _term_by_term(d, 8) * factor
+        if all(d.values()):
+            assert all(got.values())
+
+    check()
+    # (u + v)(u - v) = u^2 - v^2: the cancelled uv is dropped, not kept as 0
+    assert _dense_mul_linear({1: 1, 1 << 8: 1}, 0, 8) == {2: 1, 2 << 8: -1}
+
+
+def test_dense_divexact_linear_inverts_it_and_refuses_a_remainder():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from foamlib.sylfoam import _dense_divexact_linear, _dense_mul_linear
+
+    key = st.tuples(*[st.integers(0, 3)] * 3).map(
+        lambda es: sum(e << (8 * i) for i, e in enumerate(es)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_packed_dicts(8, range(4)), _linear_factors(), st.lists(key, max_size=4),
+           key, st.integers(-3, 3).filter(bool))
+    def check(d, uv, zero_keys, stray, delta):
+        su, sv = 8 * uv[0], 8 * uv[1]
+        product = _dense_mul_linear(d, su, sv)
+        for k in zero_keys:
+            product.setdefault(k, 0)
+        quot = _dense_divexact_linear(product, su, sv, 255)
+        assert _term_by_term(quot, 8) == _term_by_term(d, 8)
+        assert all(quot.values())
+        # a stray monomial makes a remainder, here beside zero entries
+        bad = dict(product)
+        bad[stray] = bad.get(stray, 0) + delta
+        for k in (stray + (1 << su), stray + (1 << sv)):
+            bad.setdefault(k, 0)
+        with pytest.raises(ArithmeticError):
+            _dense_divexact_linear(bad, su, sv, 255)
+
+    check()
+
+
+@pytest.mark.parametrize("width, exponents", [(8, range(4)), (16, (0, 1, 2, 259))])
+def test_from_dense_is_the_term_by_term_poly(width, exponents):
+    from hypothesis import given, settings
+
+    from foamlib.sylfoam import _from_dense
+
+    @settings(max_examples=100, deadline=None)
+    @given(_packed_dicts(width, exponents))
+    def check(d):
+        got = _from_dense(d, list(_PACKED_NAMES), width, max(exponents))
+        want = _term_by_term(d, width)
+        assert got == want
+        assert all(got.terms.values())
+        assert [type(c) for c in got.terms.values()] == \
+            [type(c) for c in want.terms.values()]
+        # one (variable, exponent) pair object per variable and exponent
+        pairs = [pair for mono in got.terms for pair in mono]
+        assert len({id(pair) for pair in pairs}) == len(set(pairs))
+
+    check()
+
+
+def test_from_dense_reads_an_exponent_beyond_a_byte():
+    from foamlib.sylfoam import _from_dense
+
+    got = _from_dense({259 << 16: 2, 3: 0, 1 << 16: 0}, ["a", "b"], 16, 259)
+    assert got.terms == {(("b", 259),): 2}
+
+
 # --------------------------------------- diagram families at larger sizes
 
 def test_exchange_diagram_family_line_sweeps():

@@ -224,3 +224,34 @@ def test_oor_matches_class_count_n4():
 
 def test_class_counts_small():
     assert [len(conjugacy_classes(n)) for n in (1, 2, 3)] == [2, 5, 20]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_index_tables_match_composition(n):
+    # the tables built by index arithmetic against the ones read off
+    # composed permutations
+    from foamlib.wreathrep import (
+        _conjugation_tables,
+        _elements,
+        _factor_generators,
+        _index,
+        _mackey_tables,
+        embed_block,
+    )
+
+    elems, index = _elements(n), _index(n)
+
+    def table(f):
+        return [index[f(g)] for g in elems]
+
+    conj = [table(lambda g, s=s: p_compose(p_compose(s, g), s))
+            for s in generators(n)]
+    assert [list(t) for t in _conjugation_tables(n)] == conj
+    hgens = [s for pair in _factor_generators(n) for s in pair]
+    mackey = ([table(lambda g, s=s: p_compose(s, g)) for s in hgens]
+              + [table(lambda g, s=s: p_compose(g, s)) for s in hgens])
+    assert [list(t) for t in _mackey_tables(n)] == mackey
+    assert len(mackey) == 4 * (n - 1)
+    # g x 1 and 1 x g are the generators of G(n-1) placed on each half
+    assert hgens == [embed_block(g, 2**n, half) for g in generators(n - 1)
+                     for half in (0, 2 ** (n - 1))]
