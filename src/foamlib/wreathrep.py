@@ -202,13 +202,12 @@ def _index(n: int) -> dict:
 #     . o beta           (r, i, j) -> (1-r, j, i)
 #     (f x g) o .        (0, i, j) -> (0, f i, g j),  (1, i, j) -> (1, g i, f j)
 #     . o (f x g)        (r, i, j) -> (r, i f, j g)
-# where f i is the index of f o G(n-1)[i] and i f that of G(n-1)[i] o f.  So
-# the tables of G(n) follow from those of G(n-1) by index arithmetic alone.
+# where f i is the index of f o G(n-1)[i] and i f that of G(n-1)[i] o f.
 
 
 def _lift(images) -> array:
     """The table sending r*M^2 + i*M + j to hi[i] + lo[j], (hi, lo) = images[r]."""
-    return array("l", [a + b for hi, lo in images for a in hi for b in lo])
+    return array("l", (a + b for hi, lo in images for a in hi for b in lo))
 
 
 def _block(M: int, f, g) -> tuple[array, array]:
@@ -220,23 +219,24 @@ def _block(M: int, f, g) -> tuple[array, array]:
             _lift([([x * M for x in fr], gr), ([top + x * M for x in fr], gr)]))
 
 
-def _generator_tables(n: int) -> list[tuple[array, array]]:
-    """(left, right) multiplication tables on G(n) of each of generators(n):
-    beta, then each generator of G(n-1) on the first half."""
+def _generator_tables(n: int):
+    """Yield the (left, right) multiplication tables on G(n) of each of
+    generators(n): beta, then each generator of G(n-1) on the first half."""
     if n == 0:
-        return []
+        return
     M = len(_elements(n - 1))
     ids, rows = range(M), [i * M for i in range(M)]
     top = M * M
-    beta = (_lift([([top + a for a in rows], ids), (rows, ids)]),
-            _lift([([top + i for i in ids], rows), (ids, rows)]))
-    return [beta] + [_block(M, t, (ids, ids)) for t in _lower_generator_tables(n - 1)]
+    yield (_lift([([top + a for a in rows], ids), (rows, ids)]),
+           _lift([([top + i for i in ids], rows), (ids, rows)]))
+    for t in _lower_generator_tables(n - 1):
+        yield _block(M, t, (ids, ids))
 
 
 @functools.cache
-def _lower_generator_tables(n: int) -> list[tuple[array, array]]:
-    """_generator_tables(n), kept for building level n + 1."""
-    return _generator_tables(n)
+def _lower_generator_tables(n: int) -> tuple[tuple[array, array], ...]:
+    """The tables of _generator_tables(n), kept for building level n + 1."""
+    return tuple(_generator_tables(n))
 
 
 @functools.cache
@@ -256,7 +256,7 @@ def _mackey_tables(n: int) -> list[array]:
     return [left for left, _ in blocks] + [right for _, right in blocks]
 
 
-def _orbits(tables, size: int, starts) -> list[list[int]]:
+def _orbits(tables, size: int, starts) -> list[array]:
     """The orbits, under the maps the index tables hold, of the indices in
     `starts`, each listed once in the order its first start is met."""
     seen = bytearray(size)
@@ -265,7 +265,7 @@ def _orbits(tables, size: int, starts) -> list[list[int]]:
         if seen[i]:
             continue
         seen[i] = 1
-        orbit = [i]
+        orbit = array("l", [i])  # grows while it is walked
         for j in orbit:
             for t in tables:
                 k = t[j]
@@ -341,13 +341,14 @@ def mackey_orbit_check(n: int) -> dict:
         raise ValueError("desk-scale only (n <= 4)")
     tables = _mackey_tables(n)
     size = len(_elements(n))
-    # in wreath order the identity has index 0 and beta index size / 2
-    o1, o2 = (set(_orbits(tables, size, [i])[0]) for i in (0, size // 2))
+    # in wreath order the identity has index 0 and beta index size / 2;
+    # _orbits lists an orbit once, so beta in the identity's leaves one
+    sizes = sorted(map(len, _orbits(tables, size, [0, size // 2])))
     h_order = 2 ** (2**n - 2)
     report = {
-        "orbit_sizes": sorted((len(o1), len(o2))),
-        "two_orbits_cover": len(o1 | o2) == size and not (o1 & o2),
-        "sizes_ok": len(o1) == len(o2) == h_order,
+        "orbit_sizes": sizes,
+        "two_orbits_cover": len(sizes) == 2 and sum(sizes) == size,
+        "sizes_ok": sizes == [h_order, h_order],
     }
     report["twist_ok"] = _twist_ok(n)
     report["ok"] = all(report[k] for k in ("two_orbits_cover", "sizes_ok", "twist_ok"))
