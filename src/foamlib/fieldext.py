@@ -624,6 +624,14 @@ class RationalNumberField(FrobeniusBackend):
                     raise BackendError(
                         f"supplied root {r.render()} is no field embedding: "
                         "its power matrix is singular") from None
+            # the maps x -> r must form a group, so r_i(r_j) is a root again;
+            # over a reducible f invertible maps can fail this
+            for r in roots:
+                for s, img in zip(roots, imgs):
+                    if _horner(self.field, r.coeffs or (0,), img) not in seen:
+                        raise BackendError(
+                            "supplied roots are not closed under composition: "
+                            f"{r.render()} at x = {s.render()} is no supplied root")
             self.roots = tuple(imgs)
 
     def dim(self, level: int) -> int:

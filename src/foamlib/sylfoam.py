@@ -16,6 +16,15 @@ term representation:
     linear differences) and evaluated at exact rational points, never
     expanding the products.
 
+`sylvester_double_sum` takes neither route.  Its terms are the images of
+one base term under the cosets of S_p x S_(m-p) in S_m and of
+S_q x S_(n-q) in S_n, so the sum is a chain of divided differences of
+that base (`symmetrized_sum`): each step swaps two fields of the packed
+keys and divides exactly by one linear factor, and the base's symmetry
+in each block is certified first.  Every other sum stays flat, through
+`fraction_free_sum`, including `evaluate_overlap` of `diagram_sylvester`,
+which therefore checks `sylvester_double_sum` on an independent route.
+
 Overlap diagrams consist of flower foams (one maximal-thickness facet
 with petal disks whose sizes partition the alphabet) and maximal-
 thickness dotted surfaces, plus ordered intersection circles.  A coloring
@@ -176,6 +185,30 @@ def _dense_divexact_linear(d: dict, su: int, sv: int, mask: int) -> dict:
             or any(c for k, c in rem.items() if k not in carry)):
         raise ArithmeticError("dense linear division is not exact")
     return quot
+
+
+def _dense_divided_difference(d: dict, su: int, sv: int, mask: int) -> dict:
+    """(f - s f) / (u - v) on packed keys, s swapping the fields of u and v.
+
+    f - s f is built in one pass over the keys, and the exact division
+    raises on a remainder.
+    """
+    step = (1 << su) - (1 << sv)
+    diff = {}
+    get = d.get
+    for k, c in d.items():
+        # moving e_v - e_u from the v field to the u field swaps the two;
+        # a key fixed by s cancels
+        t = ((k >> sv) & mask) - ((k >> su) & mask)
+        if t:
+            sk = k + t * step
+            c2 = get(sk)
+            if c2 is None:  # s k is not a key of f: both entries are set here
+                diff[k] = c
+                diff[sk] = -c
+            elif c != c2:  # s k is a key of f: its own visit sets its entry
+                diff[k] = c - c2
+    return _dense_divexact_linear(diff, su, sv, mask)
 
 
 def _collect_variables(terms: Sequence[Term], delta_alphabets) -> list[str]:
@@ -342,12 +375,85 @@ def sylvester_terms(A: VarAlphabet, B: VarAlphabet, p: int, q: int):
             yield Term((), tuple(lin), tuple(r_factors(Ap, Ac) + r_factors(Bp, Bc)))
 
 
+def symmetrized_sum(lin: Sequence[tuple[str, str]],
+                    splits: Sequence[tuple[Sequence[str], int]]) -> MultiPoly:
+    """The orbit sum of f / prod R(V[:k], V[k:]) over the split alphabets.
+
+    f is the product of (u - v) over `lin`, and it must be symmetric in
+    each block V[:k] and V[k:] of each split (V, k); that is certified on
+    the factor multiset, adjacent transposition by adjacent transposition,
+    and raises FoamValueError otherwise.  The sum runs over every choice
+    of a k-subset I of each V, the term for I being f / R(V[:k], V[k:])
+    with V[:k] sent to I and V[k:] to V minus I, both in order.  For one
+    split (Lascoux & Pragacz, J. Symb. Comput. 2003) that sum is d_w f,
+    the divided difference of the longest minimal coset representative w
+    of S_m / (S_k x S_(m-k)): the k(m-k) simple steps
+    d_j f = (f - s_j f) / (v_j - v_(j+1)) for i = k down to 1 and
+    j = i up to i + m - k - 1, in that order.  Splits act on disjoint
+    variables, so their operators commute and are applied one after the
+    other.
+
+    No step divides by anything but its own v_j - v_(j+1), so nothing
+    swells.  A split with one block (k = 0 or k = m) adds no step.  A
+    factor is multiplied in just before the first step that moves one of
+    its variables, since d_j treats a factor free of v_j and v_(j+1) as a
+    constant; factors that involve no split are multiplied in last.
+    """
+    factors = Counter(lin)
+    splits = [(tuple(vs), k) for vs, k in splits if 0 < k < len(vs)]
+    for vs, k in splits:
+        for block in (vs[:k], vs[k:]):
+            for u, v in zip(block, block[1:]):
+                swap = {u: v, v: u}
+                if Counter((swap.get(y, y), swap.get(z, z)) for y, z in lin) != factors:
+                    raise FoamValueError(
+                        f"the base term is not symmetric in {u} and {v}")
+    names = sorted({w for f in lin for w in f} | {w for vs, _ in splits for w in vs})
+    # exponents never exceed the number of factors
+    degree = len(lin)
+    width = min(8 * size for size in _WORD_FORMAT if degree >> (8 * size) == 0)
+    mask = (1 << width) - 1
+    shift_of = {nm: width * i for i, nm in enumerate(names)}
+
+    cur, pending = {0: 1}, list(lin)
+    for vs, k in splits:
+        for i in range(k, 0, -1):
+            for j in range(i, i + len(vs) - k):
+                u, v = vs[j - 1], vs[j]
+                held = []
+                for f in pending:
+                    if u in f or v in f:
+                        cur = _dense_mul_linear(cur, shift_of[f[0]], shift_of[f[1]])
+                    else:
+                        held.append(f)
+                pending = held
+                cur = _dense_divided_difference(cur, shift_of[u], shift_of[v], mask)
+    for y, z in pending:
+        cur = _dense_mul_linear(cur, shift_of[y], shift_of[z])
+    return _from_dense(cur, names, width, degree)
+
+
 @lru_cache(maxsize=256)
 def sylvester_double_sum(A: VarAlphabet, B: VarAlphabet, p: int, q: int) -> MultiPoly:
-    """Syl_{p,q}(A,B)(x), a polynomial of x-degree at most p + q."""
-    return fraction_free_sum(
-        sylvester_terms(A, B, p, q), [A.variables, B.variables]
-    )
+    """Syl_{p,q}(A,B)(x), a polynomial of x-degree at most p + q.
+
+    The term of Ap = a1..ap and Bp = b1..bq has the base
+    f = R(x, Ap) R(x, Bp) R(Ap, Bp) R(Ac, Bc), symmetric in each of Ap,
+    Ac, Bp and Bc, over the denominator R(Ap, Ac) R(Bp, Bc); every other
+    term is its image under a coset of S_p x S_(m-p) in S_m and of
+    S_q x S_(n-q) in S_n.  So the sum is `symmetrized_sum` of that base,
+    a chain of p(m-p) + q(n-q) divided differences.  `sylvester_terms`
+    keeps the flat term list, which `evaluate_overlap` of
+    `diagram_sylvester` sums on its own through `fraction_free_sum`.
+    """
+    m, n = len(A), len(B)
+    if not (0 <= p <= m and 0 <= q <= n):
+        raise FoamValueError(f"(p, q) = {(p, q)} out of range for ({m}, {n})")
+    Ap, Ac = A.variables[:p], A.variables[p:]
+    Bp, Bc = B.variables[:q], B.variables[q:]
+    lin = (r_factors(Ap, Bp) + r_factors(Ac, Bc)
+           + r_factors(["x"], Ap) + r_factors(["x"], Bp))
+    return symmetrized_sum(lin, [(A.variables, p), (B.variables, q)])
 
 
 # ---------------------------------------------------------------------------

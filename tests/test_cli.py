@@ -269,6 +269,45 @@ def test_number_field_root_that_is_no_embedding_exit_2(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def _sphere_over(tmp_path, f, roots, dots):
+    doc = {
+        "backend": {"kind": "numberfield", "f": f, "roots": roots},
+        "facets": [{"id": "f", "genus": 0, "label": "F", "dots": dots,
+                    "boundary": []}],
+        "seams": [],
+    }
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_number_field_roots_not_closed_under_composition_exit_2(tmp_path, capsys):
+    # QQ[x]/(x^3 - x) is QQ^3; each of the three maps x -> r is invertible,
+    # but (-x) composed with r3 = 1 + x/2 - 3x^2/2 is no supplied root, so
+    # the maps form no group; evaluate_coloring used to FAIL (exit 1) here
+    r3 = "1 + 1/2*x - 3/2*x^2"
+    path = _sphere_over(tmp_path, "x^3-x", ["x", "-x", r3], ["x"])
+    code = run(["tqft", "eval", "--surface", path, "--both"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert ("supplied roots are not closed under composition: "
+            "-x at x = -3/2*x^2 + 1/2*x + 1 is no supplied root") in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("dots, value", [(["x"], "0"), (["x^2"], "2")])
+def test_reducible_number_field_with_a_root_group_agrees(tmp_path, capsys, dots, value):
+    # QQ[x]/(x^2 - 1) is QQ^2, and {x, -x} is closed under composition
+    path = _sphere_over(tmp_path, "x^2-1", ["x", "-x"], dots)
+    code = run(["tqft", "eval", "--surface", path, "--both"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert f"PASS  evaluate_neck  = {value}" in out
+    assert f"PASS  evaluate_coloring  = {value}" in out
+    assert "PASS  evaluators_agree" in out
+
+
 def test_both_on_a_table_backend_exit_2(torus_sigma_file, capsys):
     # a table algebra has no root colorings: asking for them is bad input
     code = run(["--json", "tqft", "eval", "--surface", torus_sigma_file, "--both"])

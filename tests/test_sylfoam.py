@@ -81,6 +81,104 @@ def test_syl_out_of_range():
         sylvester_double_sum(alphabet("A", 2), alphabet("B", 2), 3, 0)
 
 
+def _sylvester_cases():
+    for m in range(1, 4):
+        for n in range(1, 4):
+            for p in range(m + 1):
+                for q in range(n + 1):
+                    yield m, n, p, q
+    for p in range(3):
+        for q in range(3):
+            yield 4, 4, p, q
+
+
+def test_syl_by_divided_differences_is_the_flat_sum():
+    from foamlib.sylfoam import sylvester_terms
+
+    for m, n, p, q in _sylvester_cases():
+        A, B = alphabet("A", m), alphabet("B", n)
+        flat = fraction_free_sum(sylvester_terms(A, B, p, q), [A.variables, B.variables])
+        assert sylvester_double_sum(A, B, p, q) == flat, (m, n, p, q)
+
+
+def test_syl_base_without_one_r_factor_is_refused():
+    # dropping (a1 - b1) from R(Ap, Bp) breaks the symmetry in a1, a2
+    from foamlib.sylfoam import r_factors, symmetrized_sum
+
+    A, B = alphabet("A", 3), alphabet("B", 3)
+    Ap, Ac, Bp, Bc = A.variables[:2], A.variables[2:], B.variables[:2], B.variables[2:]
+    lin = (r_factors(Ap, Bp) + r_factors(Ac, Bc)
+           + r_factors(["x"], Ap) + r_factors(["x"], Bp))
+    splits = [(A.variables, 2), (B.variables, 2)]
+    assert symmetrized_sum(lin, splits) == sylvester_double_sum(A, B, 2, 2)
+    lin.remove(("a1", "b1"))
+    with pytest.raises(FoamValueError, match="not symmetric"):
+        symmetrized_sum(lin, splits)
+
+
+def _coset_terms(lin, splits):
+    """The flat orbit sum that `symmetrized_sum` computes, as Terms."""
+    import itertools
+
+    from foamlib.sylfoam import Term, r_factors
+
+    choices = []
+    for vs, k in splits:
+        options = []
+        for I in itertools.combinations(vs, k):
+            rest = tuple(v for v in vs if v not in I)
+            options.append((dict(zip(vs, I + rest)), r_factors(I, rest)))
+        choices.append(options)
+    for combo in itertools.product(*choices):
+        sigma = {u: w for image, _ in combo for u, w in image.items()}
+        yield Term((), tuple((sigma.get(u, u), sigma.get(v, v)) for u, v in lin),
+                   tuple(f for _, den in combo for f in den))
+
+
+def test_symmetrized_sum_is_the_coset_sum():
+    # a random factor multiset made symmetric in each block by adding the
+    # images of its factors under the block permutations
+    import itertools
+
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from foamlib.sylfoam import symmetrized_sum
+
+    layouts = [[(("a1", "a2", "a3"), 1)], [(("a1", "a2", "a3", "a4"), 2)],
+               [(("a1", "a2"), 1), (("b1", "b2", "b3"), 2)],
+               [(("a1", "a2", "a3"), 0), (("b1", "b2"), 1)]]
+
+    def block_images(splits):
+        per_split = []
+        for vs, k in splits:
+            per_split.append([dict(zip(vs, left + right))
+                              for left in itertools.permutations(vs[:k])
+                              for right in itertools.permutations(vs[k:])])
+        return [{u: w for part in combo for u, w in part.items()}
+                for combo in itertools.product(*per_split)]
+
+    @st.composite
+    def cases(draw):
+        splits = draw(st.sampled_from(layouts))
+        names = [v for vs, _ in splits for v in vs] + ["x"]
+        pair = st.tuples(st.sampled_from(names), st.sampled_from(names)).filter(
+            lambda uv: uv[0] != uv[1])
+        seeds = draw(st.lists(pair, min_size=1, max_size=2))
+        lin = sorted({(sigma.get(u, u), sigma.get(v, v))
+                      for u, v in seeds for sigma in block_images(splits)})
+        return lin, splits
+
+    @settings(max_examples=40, deadline=None)
+    @given(cases())
+    def check(case):
+        lin, splits = case
+        want = fraction_free_sum(_coset_terms(lin, splits), [vs for vs, _ in splits])
+        assert symmetrized_sum(lin, splits) == want
+
+    check()
+
+
 def test_syl_symmetric_in_each_alphabet():
     A, B = alphabet("A", 3), alphabet("B", 2)
     s = sylvester_double_sum(A, B, 1, 1)
@@ -512,6 +610,51 @@ def test_dense_divexact_linear_inverts_it_and_refuses_a_remainder():
             bad.setdefault(k, 0)
         with pytest.raises(ArithmeticError):
             _dense_divexact_linear(bad, su, sv, 255)
+
+    check()
+
+
+def _swapped(poly, u, v):
+    return poly.subs_vars({u: v, v: u})
+
+
+def test_dense_divided_difference_times_u_minus_v_is_f_minus_swapped_f():
+    from hypothesis import given, settings
+
+    from foamlib.sylfoam import _dense_divided_difference
+
+    @settings(max_examples=150, deadline=None)
+    @given(_packed_dicts(8, range(4)), _linear_factors())
+    def check(d, uv):
+        u, v = (_PACKED_NAMES[i] for i in uv)
+        got = _dense_divided_difference(d, 8 * uv[0], 8 * uv[1], 255)
+        f = _term_by_term(d, 8)
+        assert _term_by_term(got, 8) * (MultiPoly.var(u) - MultiPoly.var(v)) \
+            == f - _swapped(f, u, v)
+        assert all(got.values())
+
+    check()
+    # (a^2 - b^2) / (a - b) = a + b, over (b - a) it is -(a + b), and a^2
+    # is symmetric in b and c
+    assert _dense_divided_difference({2: 1}, 0, 8, 255) == {1: 1, 1 << 8: 1}
+    assert _dense_divided_difference({2: 1}, 8, 0, 255) == {1: -1, 1 << 8: -1}
+    assert _dense_divided_difference({2: 1}, 8, 16, 255) == {}
+
+
+def test_dense_divided_difference_of_a_symmetric_f_is_zero():
+    from hypothesis import given, settings
+
+    from foamlib.sylfoam import _dense_divided_difference, _to_dense
+
+    shift_of = {nm: 8 * i for i, nm in enumerate(_PACKED_NAMES)}
+
+    @settings(max_examples=150, deadline=None)
+    @given(_packed_dicts(8, range(4)), _linear_factors())
+    def check(d, uv):
+        u, v = (_PACKED_NAMES[i] for i in uv)
+        f = _term_by_term(d, 8)
+        symmetric = _to_dense(f + _swapped(f, u, v), shift_of)
+        assert _dense_divided_difference(symmetric, 8 * uv[0], 8 * uv[1], 255) == {}
 
     check()
 
