@@ -118,8 +118,8 @@ def cmd_verify(args, report: RunReport):
         syl = sylfoam.sylvester_double_sum(A, B, p, q)
         report.add(f"sylvester m={args.m} n={args.n} p={p} q={q}", True,
                    syl.render())
-        report.add("degree_bound", syl.degree_in("x") <= p + q,
-                   f"deg_x = {syl.degree_in('x')} <= {p + q}")
+        deg_x = syl.degree_in("x")
+        report.add("degree_bound", deg_x <= p + q, f"deg_x = {deg_x} <= {p + q}")
         diagram = sylfoam.diagram_sylvester(A, B, p, q)
         agrees = sylfoam.overlap_matches_polynomial(
             diagram, lambda: sylfoam.sylvester_terms(A, B, p, q),

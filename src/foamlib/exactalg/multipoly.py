@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 Monomial = tuple[tuple[str, int], ...]
@@ -217,26 +218,27 @@ class MultiPoly:
     def render(self) -> str:
         if not self.terms:
             return "0"
-
-        def key(m: Monomial):
-            deg = sum(e for _, e in m)
-            # graded: higher degree first; then lex on names/exponents
-            return (-deg, tuple((v, -e) for v, e in m))
+        # graded: higher degree first; then lex on (name, -exponent) pairs.
+        # Each distinct pair is ranked once in that order and written once,
+        # so a sort key is the degree and a tuple of small ints.
+        distinct = sorted({pair for m in self.terms for pair in m},
+                          key=lambda pair: (pair[0], -pair[1]))
+        rank = {pair: i for i, pair in enumerate(distinct)}.__getitem__
+        text = {(v, e): v if e == 1 else f"{v}^{e}" for v, e in distinct}.__getitem__
+        exponent = itemgetter(1)
 
         parts = []
-        for m in sorted(self.terms, key=key):
+        for m in sorted(self.terms, key=lambda m: (-sum(map(exponent, m)),
+                                                   tuple(map(rank, m)))):
             c = self.terms[m]
             neg = c < 0
             c = abs(c)
-            factors = []
-            for v, e in m:
-                factors.append(v if e == 1 else f"{v}^{e}")
-            if not factors:
+            if not m:
                 body = str(c)
             elif c == 1:
-                body = "*".join(factors)
+                body = "*".join(map(text, m))
             else:
-                body = str(c) + "*" + "*".join(factors)
+                body = str(c) + "*" + "*".join(map(text, m))
             if not parts:
                 parts.append(("-" if neg else "") + body)
             else:

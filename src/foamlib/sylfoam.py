@@ -118,10 +118,13 @@ class Term:
 # Dense engine: monomials are exponent vectors packed into one integer,
 # `width` bits per variable, so multiplying by a variable is an integer add.
 # fraction_free_sum takes the narrowest machine word (8 to 64 bits) that
-# holds the cleared degree, which bounds every exponent it builds, so
-# _from_dense decodes every key on one path, a bytes-to-words cast, and
-# shares one (variable, exponent) pair per variable and exponent among
-# the monomials it returns.
+# holds the cleared degree, which bounds every exponent it builds.
+# _from_dense splits each key into a low half-key (the first len(names) // 2
+# variables) and a high one (the rest), and decodes each distinct half-key
+# once, on one path: a bytes-to-words cast, then one shared (variable,
+# exponent) pair per variable and exponent.  A monomial is the low half's
+# tuple plus the high half's, so most keys of a large sum cost two dict
+# lookups and one concatenation.
 _WORD_FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"}  # bytes per word -> memoryview cast
 
 
@@ -237,25 +240,50 @@ def _to_dense(p: MultiPoly, shift_of: dict) -> dict:
     return out
 
 
+def _decode_half_key(key: int, pairs: list, nbytes: int, fmt: str) -> tuple:
+    """The monomial tuple of a half-key over `pairs` (pairs[i][e] is the
+    pair of its variable i and exponent e, None for e = 0): the key is
+    written out as bytes and read back as one machine word per variable."""
+    words = memoryview(key.to_bytes(nbytes, sys.byteorder)).cast(fmt)
+    if sys.byteorder == "big":  # the native words come highest variable first
+        words = words[::-1]
+    return tuple(filter(None, map(list.__getitem__, pairs, words)))
+
+
 def _from_dense(d: dict, names: list[str], width: int, degree: int) -> MultiPoly:
     """Unpack a packed dict whose exponents are at most `degree`.
 
-    Each key is written out as bytes and read back as machine words of
-    `width` bits, one exponent each; each monomial is built from one
-    shared (variable, exponent) pair per variable and exponent.  Zero
-    coefficients are dropped.
+    Each key is split at h = len(names) // 2 variables into a low half-key
+    (names[:h]) and a high one (names[h:]).  A half-key is decoded on its
+    first sight only, and its tuple kept in that half's memo; a monomial
+    is the low tuple plus the high tuple, which is canonical as names are
+    sorted.  One (variable, exponent) pair is shared per variable and
+    exponent.  Zero coefficients are dropped, and the terms keep the order
+    of the keys.
     """
-    size = width // 8
-    nbytes = size * len(names)
+    size, h = width // 8, len(names) // 2
+    split = width * h
+    low = (1 << split) - 1
     # pairs[i][e] is (names[i], e); pairs[i][0] is None and is filtered out
     pairs = [[None] + [(nm, e) for e in range(1, degree + 1)] for nm in names]
-    if sys.byteorder == "big":  # the native words come highest variable first
-        pairs.reverse()
-    fmt, order, getitem = _WORD_FORMAT[size], sys.byteorder, list.__getitem__
-    return MultiPoly._raw({
-        tuple(filter(None, map(getitem, pairs,
-                               memoryview(k.to_bytes(nbytes, order)).cast(fmt)))): c
-        for k, c in d.items() if c})
+    fmt = _WORD_FORMAT[size]
+    lo_pairs, lo_bytes = pairs[:h], size * h
+    hi_pairs, hi_bytes = pairs[h:], size * (len(names) - h)
+    lo_memo, hi_memo = {}, {}
+    lo_get, hi_get = lo_memo.get, hi_memo.get
+    out = {}
+    for k, c in d.items():
+        if c:
+            lo = k & low
+            lo_mono = lo_get(lo)
+            if lo_mono is None:
+                lo_mono = lo_memo[lo] = _decode_half_key(lo, lo_pairs, lo_bytes, fmt)
+            hi = k >> split
+            hi_mono = hi_get(hi)
+            if hi_mono is None:
+                hi_mono = hi_memo[hi] = _decode_half_key(hi, hi_pairs, hi_bytes, fmt)
+            out[lo_mono + hi_mono] = c
+    return MultiPoly._raw(out)
 
 
 def cleared_degree(terms: Sequence[Term], delta_alphabets: Sequence[Sequence[str]]) -> int:

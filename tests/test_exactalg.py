@@ -229,6 +229,41 @@ def test_parse_render_roundtrip():
         assert parse_poly(p.render()) == p
 
 
+def _render_by_pair_key(p: MultiPoly) -> str:
+    """The sort by (-degree, ((name, -exponent), ...)) that ranks stand in for."""
+    def key(m):
+        return (-sum(e for _, e in m), tuple((v, -e) for v, e in m))
+
+    parts = []
+    for m in sorted(p.terms, key=key):
+        c = p.terms[m]
+        body = "*".join(v if e == 1 else f"{v}^{e}" for v, e in m)
+        if not body:
+            body = str(abs(c))
+        elif abs(c) != 1:
+            body = f"{abs(c)}*{body}"
+        parts.append(("-" if c < 0 else "") + body if not parts
+                     else ("- " if c < 0 else "+ ") + body)
+    return " ".join(parts)
+
+
+_monomials = st.dictionaries(
+    st.sampled_from(["a", "a1", "a2", "a10", "a11", "b", "b2", "x"]),
+    st.sampled_from([1, 2, 3, 9, 10, 11, 21]), max_size=4,
+).map(lambda m: tuple(sorted(m.items())))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(_monomials, st.one_of(
+    st.integers(-12, 12), st.fractions(min_value=-10, max_value=10, max_denominator=8)),
+    max_size=12))
+def test_render_order_is_the_pair_key_order(terms):
+    # names like a2 and a10 and exponents from 10 up, where string and
+    # numeric orders differ
+    p = MultiPoly(terms)
+    assert p.render() == (_render_by_pair_key(p) if p.terms else "0")
+
+
 # ----------------------------------------------------------- ring axioms
 
 small_fracs = st.fractions(

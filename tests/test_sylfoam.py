@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from foamlib.exactalg.multipoly import MultiPoly, esym, parse_poly
@@ -686,6 +688,60 @@ def test_from_dense_reads_an_exponent_beyond_a_byte():
 
     got = _from_dense({259 << 16: 2, 3: 0, 1 << 16: 0}, ["a", "b"], 16, 259)
     assert got.terms == {(("b", 259),): 2}
+
+
+@pytest.mark.parametrize("width, byteorder", [(8, sys.byteorder), (16, sys.byteorder),
+                                              (32, sys.byteorder), (64, sys.byteorder),
+                                              (8, "big")])
+def test_from_dense_decodes_repeated_half_keys(width, byteorder):
+    # 0 to 9 variables, so an odd or even count and, below 2, an empty low
+    # half; keys are drawn from a few low and high halves, so half-keys
+    # repeat.  Single bytes read the same in either byte order, so at width
+    # 8 the big-endian branch runs here too.
+    from fractions import Fraction
+
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from foamlib.sylfoam import _from_dense
+
+    degree = min(300, (1 << width) - 1)
+    exponent = st.sampled_from((0, 1, 2, 3, 11, degree))
+    coeff = st.one_of(st.integers(-2, 2),
+                      st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+
+    @st.composite
+    def packed(draw):
+        n = draw(st.integers(0, 9))
+        h = n // 2
+        los = draw(st.lists(st.tuples(*[exponent] * h), min_size=1, max_size=3))
+        his = draw(st.lists(st.tuples(*[exponent] * (n - h)), min_size=1, max_size=3))
+        d = {}
+        for lo, hi, c in draw(st.lists(st.tuples(st.sampled_from(los),
+                                                 st.sampled_from(his), coeff),
+                                       max_size=12)):
+            d[sum(e << (width * i) for i, e in enumerate(lo + hi))] = c
+        return [f"v{i}" for i in range(n)], d
+
+    @settings(max_examples=60, deadline=None)
+    @given(packed())
+    def check(names_and_dict):
+        names, d = names_and_dict
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sys, "byteorder", byteorder)
+            got = _from_dense(d, names, width, degree)
+        mask = (1 << width) - 1
+        want = [(tuple((nm, (k >> (width * i)) & mask) for i, nm in enumerate(names)
+                       if (k >> (width * i)) & mask), c)
+                for k, c in d.items() if c]
+        # key order kept, zeros dropped, coefficient types kept
+        assert list(got.terms.items()) == want
+        assert [type(c) for c in got.terms.values()] == [type(c) for _, c in want]
+        # one (variable, exponent) pair object per variable and exponent
+        pairs = [pair for mono in got.terms for pair in mono]
+        assert len({id(pair) for pair in pairs}) == len(set(pairs))
+
+    check()
 
 
 # --------------------------------------- diagram families at larger sizes
