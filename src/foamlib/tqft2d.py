@@ -427,8 +427,9 @@ def evaluate_coloring(s: DecoratedSurface):
     embeddings = {lv: be.embeddings(lv) for lv in {f.level for f in s.facets}}
     index_of = {f.id: i for i, f in enumerate(s.facets)}
 
-    # per facet pair, the checks color(a), color(b) -> bool of its seams
-    by_pair: dict[tuple[int, int], list] = {}
+    # per position, the seam checks color(a), color(b) -> bool that become
+    # decidable once that position is colored
+    checks: list[list] = [[] for _ in s.facets]
     for seam in s.seams:
         fa, fb = index_of[seam.end0[0]], index_of[seam.end1[0]]
         if seam.kind == "plain":
@@ -443,15 +444,15 @@ def evaluate_coloring(s: DecoratedSurface):
             glo = be.include(be.generator(lo), lo, hi)
             t = [lo_roots.index(phi(glo)) for phi in embeddings[hi]]
             chk = lambda ca, cb, t=t: t[cb] == ca  # noqa: E731
-        by_pair.setdefault((fa, fb), []).append(chk)
+        checks[max(fa, fb)].append((fa, fb, chk))
 
-    # dot products per facet, embedded lazily
-    dot_products = []
+    # weights[pos][c]: facet pos's dot product under its c-th embedding
+    weights = []
     for f in s.facets:
         prod = be.one(f.level)
         for d in f.dots:
             prod = be.mul(f.level, prod, d)
-        dot_products.append(prod)
+        weights.append([phi(prod) for phi in embeddings[f.level]])
 
     total = omega.zero
     assignment = [0] * len(s.facets)
@@ -461,13 +462,10 @@ def evaluate_coloring(s: DecoratedSurface):
         if pos == len(s.facets):
             total = omega.add(total, partial)
             return
-        f = s.facets[pos]
-        for c in range(be.dim(f.level)):
+        for c, weight in enumerate(weights[pos]):
             assignment[pos] = c
             if all(chk(assignment[fa], assignment[fb])
-                   for (fa, fb), chks in by_pair.items() if max(fa, fb) == pos
-                   for chk in chks):
-                weight = embeddings[f.level][c](dot_products[pos])
+                   for fa, fb, chk in checks[pos]):
                 recurse(pos + 1, omega.mul(partial, weight))
 
     recurse(0, omega.one)

@@ -20,6 +20,7 @@ from foamlib.exactalg import (
     roots_in_extension,
     smallest_irreducible,
 )
+from foamlib.exactalg.ffield import TABLE_BOUND
 from foamlib.exactalg.scalars import QQ_DOMAIN, zmod
 
 
@@ -354,6 +355,101 @@ def test_gf_inverse_everywhere():
         if k9.is_zero(a):
             continue
         assert k9.mul(a, k9.inv(a)) == k9.one
+
+
+# ------------------------------------------------------ log/antilog tables
+
+TABLE_FIELDS = [(3, 2), (2, 6), (3, 4), (2, 10), (3, 6)]
+
+
+def _sample(field, count, seed):
+    import random
+
+    rng = random.Random(seed)
+    p, n = field.char, field.degree
+    return [tuple(rng.randrange(p) for _ in range(n)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("p,n", TABLE_FIELDS)
+def test_tables_hold_every_power_of_a_generator(p, n):
+    F = GF(p, n)
+    units = F.size() - 1
+    assert len(F._log) == units  # g has order q - 1
+    assert len(F._exp) == 2 * units
+    assert F._exp[0] == F.one and F._exp[units] == F.one
+    g = F._exp[1]
+    for i, a in enumerate(F._exp[:units]):
+        assert F._log[a] == i
+        assert F._exp[i + 1] == F._schoolbook_mul(a, g)
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (2, 6), (3, 4)])
+def test_table_mul_matches_schoolbook_on_every_pair(p, n):
+    F = GF(p, n)
+    elements = list(F.elements())
+    for a in elements:
+        for b in elements:
+            assert F.mul(a, b) == F._schoolbook_mul(a, b), (a, b)
+
+
+@pytest.mark.parametrize("p,n", [(2, 10), (3, 6), (3, 8)])
+def test_mul_matches_polynomial_product_on_sampled_pairs(p, n):
+    # GF(3^8) is above the table bound and keeps the schoolbook product
+    F = GF(p, n)
+    assert (F._log is None) == (F.size() > TABLE_BOUND)
+    xs, ys = _sample(F, 400, 1), _sample(F, 400, 2)
+    for a, b in zip(xs + [F.zero] * 3, ys + [ys[0], F.zero, F.one]):
+        assert F.mul(a, b) == F.from_poly(F.to_poly(a) * F.to_poly(b)), (a, b)
+        assert F.mul(a, b) == F._schoolbook_mul(a, b)
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (2, 6), (3, 4), (2, 10)])
+def test_table_inverse_of_every_unit(p, n):
+    F = GF(p, n)
+    for a in F.elements():
+        if a != F.zero:
+            assert F._schoolbook_mul(F.inv(a), a) == F.one, a
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (2, 6), (3, 4), (3, 8)])
+def test_power_matches_repeated_multiplication(p, n):
+    F = GF(p, n)
+    elements = list(F.elements()) if F.size() <= 81 else _sample(F, 60, 3)
+    for a in elements + [F.zero]:
+        r = F.one
+        for e in range(12):
+            assert F.power(a, e) == r, (a, e)
+            if a != F.zero:
+                assert F.power(a, -e) == F.inv(r), (a, -e)
+            r = F._schoolbook_mul(r, a)
+        assert F.power(a, F.size()) == a  # Frobenius to the top is 1
+    assert F.power(F.zero, 0) == F.one
+    with pytest.raises(ZeroDivisionError):
+        F.power(F.zero, -1)
+
+
+def test_non_canonical_tuples_take_the_schoolbook_product():
+    F = GF(3, 4)
+    for a in [(-1, 4, 0, 5), (3, 0, 0, 0), (0, -3, 6, 3), (1, 0, 0, 3)]:
+        canon = tuple(c % 3 for c in a)
+        assert a not in F._log
+        for b in _sample(F, 40, 4) + [F.zero, F.one, a]:
+            assert F.mul(a, b) == F._schoolbook_mul(a, b)
+            assert F.mul(b, a) == F.mul(canon, tuple(c % 3 for c in b))
+        if canon != F.zero:
+            assert F.inv(a) == F.inv(canon)
+            assert F.power(a, 5) == F.power(canon, 5)
+            assert F.power(a, -2) == F.power(canon, -2)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                F.inv(a)
+
+
+@pytest.mark.parametrize("p,n", [(3, 4), (3, 8)])
+def test_inverse_of_zero_raises(p, n):
+    F = GF(p, n)
+    with pytest.raises(ZeroDivisionError, match=rf"inverse of 0 in GF\({p}\^{n}\)"):
+        F.inv(F.zero)
 
 
 def test_is_prime_agrees_with_trial_division():
