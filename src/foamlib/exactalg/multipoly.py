@@ -1,87 +1,263 @@
-"""Sparse multivariate polynomials over the rationals.
+"""Sparse multivariate polynomials over the rationals, on packed exponent keys.
 
-A monomial is a tuple of (variable, exponent) pairs sorted by variable
-name, exponents > 0; the empty tuple is the constant monomial.  A
-MultiPoly is an immutable wrapper around {monomial: Fraction} with no zero
-coefficients stored.  Printing uses graded-lexicographic term order
-(higher total degree first, then lex on variable names), and parse_poly
-accepts the same grammar it prints: integer/rational coefficients, `^`,
-`*`, named variables, parentheses.
+A MultiPoly holds a layout (a sorted tuple of k variable names and a word
+width w) and one dict from packed key to coefficient (int or Fraction,
+never zero).  The key of the monomial prod names[i]^e_i is
+
+    D << (w*k)  +  sum over i of  e_i << (w*(k-1-i)),    D = sum of the e_i:
+
+the total degree in the top field, then the names in order.  Multiplying
+monomials adds keys, and the descending order of the keys is graded lex
+order, the order `render` prints.  No other module knows this layout.
+
+Width rule: w is the narrowest of 8, 16, 32, ... bits holding a bound on
+D, so no exponent reaches into the next field.  A product re-packs wider
+when the bound of its result needs it; nothing wraps.  Operands on
+different layouts are re-packed onto the union of the names and the
+wider word, so equality and hashing depend on the terms alone.
+
+Nothing is stored decoded.  `terms` is a read-only {((var, exp), ...):
+coeff} view that decodes keys as they are read; `render`, `eval`,
+`subs_vars` and the degree queries read the fields of the keys.  The
+dense kernels work on bare packed dicts over one `packed_layout`;
+`sylfoam` builds its sums with them and wraps each by `from_packed`.
+
+parse_poly accepts the grammar render prints: integer/rational
+coefficients, `^`, `*`, named variables, parentheses.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import ItemsView, Iterable, Mapping
 from fractions import Fraction
-from operator import itemgetter
-from typing import Iterable, Mapping
+from functools import lru_cache, reduce
+from operator import or_
 
 Monomial = tuple[tuple[str, int], ...]
 
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    # merge two name-sorted tuples
-    out = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va == vb:
-            out.append((va, ea + eb))
-            i += 1
-            j += 1
-        elif va < vb:
-            out.append(a[i])
-            i += 1
+@lru_cache(maxsize=None)
+class _Layout:
+    """The fields of the packed keys over one name tuple and width."""
+
+    __slots__ = ("names", "width", "mask", "top", "shift", "unit", "fields")
+
+    def __init__(self, names: tuple[str, ...], width: int):
+        k = len(names)
+        self.names, self.width = names, width
+        self.mask = (1 << width) - 1
+        self.top = width * k  # the shift of the total degree field
+        self.shift = {nm: width * (k - 1 - i) for i, nm in enumerate(names)}
+        # the key of the monomial nm, which adds one to nm and to the degree
+        self.unit = {nm: (1 << s) + (1 << self.top) for nm, s in self.shift.items()}
+        self.fields = tuple((nm, self.mask << s, s) for nm, s in self.shift.items())
+
+    def key(self, mono: Monomial) -> int:
+        """The key of a monomial; KeyError if it has none here."""
+        degree = sum(e for _, e in mono)
+        if degree > self.mask or any(e < 0 for _, e in mono):
+            raise KeyError(mono)
+        return sum(e << self.shift[v] for v, e in mono) + (degree << self.top)
+
+    def monomial(self, key: int) -> Monomial:
+        return tuple([(nm, f >> s) for nm, fm, s in self.fields if (f := key & fm)])
+
+
+def packed_layout(names: Iterable[str], degree: int) -> _Layout:
+    """The layout over the sorted names for total degrees up to `degree`."""
+    width = 8
+    while degree >> width:
+        width *= 2
+    return _Layout(tuple(sorted(names)), width)
+
+
+def _move(packed: dict, src: _Layout, dst: _Layout, rename=None) -> dict:
+    """The keys of `packed` moved from src onto dst, each name to its image
+    under `rename`; images may coincide, and then exponents add.  Names
+    dst lacks are skipped (the caller knows them unused), and dst's width
+    must hold the total degree."""
+    if not packed or src is dst and not rename:
+        return packed
+    moves = [(fm, s, dst.shift[t]) for nm, fm, s in src.fields
+             if (t := rename.get(nm, nm) if rename else nm) in dst.shift]
+    stop, dtop = src.top, dst.top
+    out: dict[int, object] = {}
+    for k, c in packed.items():
+        n = (k >> stop) << dtop
+        for fm, s, t in moves:
+            f = k & fm
+            if f:
+                n += (f >> s) << t
+        out[n] = out.get(n, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+# ---------------------------------------------------------------------------
+# Dense kernels on packed dicts over one layout
+
+
+def _dense_mul_linear(d: dict, layout: _Layout, u: str, v: str) -> dict:
+    """d times (u - v); no zero coefficient out if none goes in."""
+    # shifting keys is injective, so the u half needs no lookups; a key of
+    # the -v half meets at most one u-half key, and is dropped if it cancels
+    bu, bv = layout.unit[u], layout.unit[v]
+    out = {k + bu: c for k, c in d.items()}
+    get = out.get
+    for k, c in d.items():
+        k += bv
+        c = get(k, 0) - c
+        if c:
+            out[k] = c
         else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+            out.pop(k, None)
+    return out
+
+
+def _dense_mul(d1: dict, d2: dict) -> dict:
+    out: dict[int, object] = {}
+    for k1, c1 in d1.items():
+        for k2, c2 in d2.items():
+            k = k1 + k2
+            out[k] = out.get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def _dense_divexact_linear(d: dict, layout: _Layout, u: str, v: str) -> dict:
+    """Exact synthetic division by (u - v); ArithmeticError on a remainder."""
+    if not d:
+        return {}
+    su, mask = layout.shift[u], layout.mask
+    bu, bv = layout.unit[u], layout.unit[v]
+    # keys are distinct, so each (u-degree, rest) slot is filled once
+    by_deg: dict[int, dict[int, object]] = {}
+    for k, c in d.items():
+        e = (k >> su) & mask
+        try:
+            by_deg[e][k - e * bu] = c
+        except KeyError:
+            by_deg[e] = {k - e * bu: c}
+    quot: dict[int, object] = {}
+    carry: dict[int, object] = {}  # no zero values
+    for e in range(max(by_deg), 0, -1):
+        level = by_deg.get(e)
+        if level:
+            get = carry.get
+            for k, c in level.items():
+                c += get(k, 0)
+                if c:
+                    carry[k] = c
+                else:
+                    carry.pop(k, None)
+        # carry now holds the quotient coefficient of u^(e-1)
+        base = (e - 1) * bu
+        quot.update({base + k: c for k, c in carry.items()})
+        carry = {k + bv: c for k, c in carry.items()}
+    # the remainder, level 0 plus the carry, must vanish
+    rem = by_deg.get(0, {})
+    if (any(c + rem.get(k, 0) for k, c in carry.items())
+            or any(c for k, c in rem.items() if k not in carry)):
+        raise ArithmeticError("dense linear division is not exact")
+    return quot
+
+
+def _dense_divided_difference(d: dict, layout: _Layout, u: str, v: str) -> dict:
+    """(f - s f) / (u - v), s swapping u and v: f - s f in one pass over
+    the keys, then the exact division, which raises on a remainder."""
+    su, sv, mask = layout.shift[u], layout.shift[v], layout.mask
+    step = (1 << su) - (1 << sv)
+    diff = {}
+    get = d.get
+    for k, c in d.items():
+        # moving e_v - e_u from the v field to the u field swaps the two;
+        # a key fixed by s cancels
+        t = ((k >> sv) & mask) - ((k >> su) & mask)
+        if t:
+            sk = k + t * step
+            c2 = get(sk)
+            if c2 is None:  # s k is not a key of f: both entries are set here
+                diff[k] = c
+                diff[sk] = -c
+            elif c != c2:  # s k is a key of f: its own visit sets its entry
+                diff[k] = c - c2
+    return _dense_divexact_linear(diff, layout, u, v)
+
+
+class _Terms(Mapping):
+    """{monomial: coefficient} of a MultiPoly, decoded as it is read."""
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: "MultiPoly"):
+        self._poly = poly
+
+    def __len__(self):
+        return len(self._poly.packed)
+
+    def __iter__(self):
+        return map(self._poly.layout.monomial, self._poly.packed)
+
+    def __getitem__(self, mono):
+        return self._poly.packed[self._poly.layout.key(mono)]
+
+    def items(self):
+        return _TermItems(self)
+
+
+class _TermItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        poly = self._mapping._poly
+        return zip(map(poly.layout.monomial, poly.packed), poly.packed.values())
 
 
 class MultiPoly:
     """Coefficients are Fraction or int; ints are kept unwrapped since the
     two interoperate exactly and integer paths skip gcd normalization."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("layout", "packed")
 
     def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
-        clean = {}
-        if terms:
-            for m, c in terms.items():
-                if not isinstance(c, (int, Fraction)):
-                    c = Fraction(c)
-                if c != 0:
-                    clean[m] = c
-        self.terms = clean
+        """From {((var, exp), ...): coeff}; repeated monomials are summed."""
+        terms = dict(terms or {})
+        layout = packed_layout({v for m in terms for v, _ in m},
+                               max((sum(e for _, e in m) for m in terms), default=0))
+        packed: dict[int, object] = {}
+        for m, c in terms.items():
+            k = layout.key(m)
+            packed[k] = packed.get(k, 0) + (c if isinstance(c, (int, Fraction)) else Fraction(c))
+        self.layout, self.packed = layout, {k: c for k, c in packed.items() if c}
 
     @classmethod
-    def _raw(cls, terms: dict) -> "MultiPoly":
-        """Trusted constructor: canonical keys, no zero values."""
+    def from_packed(cls, layout: _Layout, packed: dict) -> "MultiPoly":
+        """Trusted: keys on `layout`, no zero coefficient."""
         obj = object.__new__(cls)
-        obj.terms = terms
+        obj.layout, obj.packed = layout, packed
         return obj
+
+    def packed_on(self, layout: _Layout) -> dict:
+        """The packed dict on `layout`, which must hold the names used and the degree."""
+        if not self.variables() <= set(layout.names) or self.total_degree() > layout.mask:
+            raise ValueError(f"{self.render()} does not fit the layout")
+        return _move(self.packed, self.layout, layout)
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def const(c) -> "MultiPoly":
-        return MultiPoly({(): c if isinstance(c, (int, Fraction)) else Fraction(c)})
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        return MultiPoly.from_packed(_Layout((), 8), {0: c} if c else {})
 
     @staticmethod
     def var(name: str) -> "MultiPoly":
-        return MultiPoly({((name, 1),): 1})
+        layout = _Layout((name,), 8)
+        return MultiPoly.from_packed(layout, {layout.unit[name]: 1})
 
     @staticmethod
     def zero() -> "MultiPoly":
-        return MultiPoly()
+        return MultiPoly.const(0)
 
     @staticmethod
     def one() -> "MultiPoly":
@@ -89,34 +265,41 @@ class MultiPoly:
 
     # -- queries ----------------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[Monomial, Fraction]:
+        return _Terms(self)
+
     def variables(self) -> set[str]:
-        out = set()
-        for m in self.terms:
-            for v, _ in m:
-                out.add(v)
-        return out
+        used = reduce(or_, self.packed, 0)
+        return {nm for nm, fm, _ in self.layout.fields if used & fm}
 
     def degree_in(self, var: str) -> int:
-        best = 0
-        for m in self.terms:
-            for v, e in m:
-                if v == var and e > best:
-                    best = e
-        return best
+        s, mask = self.layout.shift.get(var), self.layout.mask
+        return 0 if s is None else max(((k >> s) & mask for k in self.packed), default=0)
 
     def total_degree(self) -> int:
-        return max((sum(e for _, e in m) for m in self.terms), default=0)
+        return max(self.packed, default=0) >> self.layout.top
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial."""
-        if not self.terms:
-            return Fraction(0)
-        if set(self.terms) != {()}:
+        if set(self.packed) - {0}:
             raise ValueError(f"not a constant polynomial: {self.render()}")
-        return self.terms[()]
+        return self.packed.get(0, Fraction(0))
+
+    def _common(self, other: "MultiPoly", degree: int = 0):
+        """One layout for both operands and for total degree `degree`, and
+        the two packed dicts on it."""
+        a, b = self.layout, other.layout
+        if a is b and degree <= a.mask:
+            return a, self.packed, other.packed
+        dst = packed_layout({*a.names, *b.names}, max(degree, a.mask, b.mask))
+        return dst, _move(self.packed, a, dst), _move(other.packed, b, dst)
 
     def __eq__(self, other):
-        return isinstance(other, MultiPoly) and self.terms == other.terms
+        if not isinstance(other, MultiPoly) or len(self.packed) != len(other.packed):
+            return False
+        _, x, y = self._common(other)
+        return x == y
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -124,44 +307,30 @@ class MultiPoly:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = out.get(m, 0) + c
+        layout, x, y = self._common(other)
+        out = dict(x)
+        for k, c in y.items():
+            v = out.get(k, 0) + c
             if v:
-                out[m] = v
-            elif m in out:
-                del out[m]
-        return MultiPoly._raw(out)
+                out[k] = v
+            elif k in out:
+                del out[k]
+        return MultiPoly.from_packed(layout, out)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly._raw({m: -c for m, c in self.terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = out.get(m, 0) - c
-            if v:
-                out[m] = v
-            elif m in out:
-                del out[m]
-        return MultiPoly._raw(out)
+        return self + -other
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        if not self.terms or not other.terms:
-            return MultiPoly()
-        out: dict[Monomial, Fraction] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m = _mono_mul(ma, mb)
-                out[m] = out.get(m, 0) + ca * cb
-        return MultiPoly._raw({m: c for m, c in out.items() if c})
+        if not self.packed or not other.packed:
+            return MultiPoly.zero()
+        layout, x, y = self._common(other, self.total_degree() + other.total_degree())
+        return MultiPoly.from_packed(layout, _dense_mul(x, y))
 
     def scale(self, c) -> "MultiPoly":
-        if not isinstance(c, (int, Fraction)):
-            c = Fraction(c)
-        if c == 0:
-            return MultiPoly()
-        return MultiPoly._raw({m: c * v for m, v in self.terms.items()})
+        return MultiPoly.const(c) * self
 
     def __pow__(self, e: int) -> "MultiPoly":
         if e < 0:
@@ -178,71 +347,57 @@ class MultiPoly:
     # -- substitution -----------------------------------------------------
 
     def eval(self, assignment: Mapping[str, Fraction]) -> Fraction:
-        """Exact full evaluation; every variable must be assigned.
+        """Exact full evaluation; every variable used must be assigned.
 
-        Each power v^e is built once per call; int values stay ints until
-        the final Fraction.
+        Each power v^e is built once per call, keyed by its field of the
+        packed key; int values stay ints until the final Fraction.
         """
-        powers: dict[tuple[str, int], object] = {}
+        fields = self.layout.fields
+        powers: dict[int, object] = {}
+        get = powers.get
         total = 0
-        for m, c in self.terms.items():
+        for k, c in self.packed.items():
             acc = c
-            for ve in m:
-                pw = powers.get(ve)
-                if pw is None:
-                    v, e = ve
-                    if v not in assignment:
-                        raise KeyError(f"variable {v!r} not assigned")
-                    x = assignment[v]
-                    if not isinstance(x, (int, Fraction)):
-                        x = Fraction(x)
-                    pw = powers[ve] = x ** e
-                acc *= pw
+            for nm, fm, s in fields:
+                f = k & fm
+                if f:
+                    pw = get(f)
+                    if pw is None:
+                        if nm not in assignment:
+                            raise KeyError(f"variable {nm!r} not assigned")
+                        x = assignment[nm]
+                        if not isinstance(x, (int, Fraction)):
+                            x = Fraction(x)
+                        pw = powers[f] = x ** (f >> s)
+                    acc *= pw
             total += acc
         return Fraction(total)
 
     def subs_vars(self, mapping: Mapping[str, str]) -> "MultiPoly":
-        """Rename variables (used to plug color sets into dot polynomials)."""
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            d: dict[str, int] = {}
-            for v, e in m:
-                w = mapping.get(v, v)
-                d[w] = d.get(w, 0) + e
-            mm = tuple(sorted(d.items()))
-            out[mm] = out.get(mm, 0) + c
-        return MultiPoly(out)
+        """Rename variables (used to plug color sets into dot polynomials);
+        names sent to one name multiply together."""
+        src = self.layout
+        dst = packed_layout({mapping.get(nm, nm) for nm in src.names}, src.mask)
+        return MultiPoly.from_packed(dst, _move(self.packed, src, dst, mapping))
 
     # -- printing --------------------------------------------------------
 
     def render(self) -> str:
-        if not self.terms:
+        if not self.packed:
             return "0"
-        # graded: higher degree first; then lex on (name, -exponent) pairs.
-        # Each distinct pair is ranked once in that order and written once,
-        # so a sort key is the degree and a tuple of small ints.
-        distinct = sorted({pair for m in self.terms for pair in m},
-                          key=lambda pair: (pair[0], -pair[1]))
-        rank = {pair: i for i, pair in enumerate(distinct)}.__getitem__
-        text = {(v, e): v if e == 1 else f"{v}^{e}" for v, e in distinct}.__getitem__
-        exponent = itemgetter(1)
-
+        monomial = self.layout.monomial
         parts = []
-        for m in sorted(self.terms, key=lambda m: (-sum(map(exponent, m)),
-                                                   tuple(map(rank, m)))):
-            c = self.terms[m]
-            neg = c < 0
-            c = abs(c)
-            if not m:
-                body = str(c)
-            elif c == 1:
-                body = "*".join(map(text, m))
-            else:
-                body = str(c) + "*" + "*".join(map(text, m))
+        for k in sorted(self.packed, reverse=True):  # graded lex
+            c = self.packed[k]
+            body = "*".join([v if e == 1 else f"{v}^{e}" for v, e in monomial(k)])
+            if not body:
+                body = str(abs(c))
+            elif abs(c) != 1:
+                body = f"{abs(c)}*{body}"
             if not parts:
-                parts.append(("-" if neg else "") + body)
+                parts.append(("-" if c < 0 else "") + body)
             else:
-                parts.append(("- " if neg else "+ ") + body)
+                parts.append(("- " if c < 0 else "+ ") + body)
         return " ".join(parts)
 
     def __repr__(self):

@@ -19,11 +19,14 @@ term representation:
 `sylvester_double_sum` takes neither route.  Its terms are the images of
 one base term under the cosets of S_p x S_(m-p) in S_m and of
 S_q x S_(n-q) in S_n, so the sum is a chain of divided differences of
-that base (`symmetrized_sum`): each step swaps two fields of the packed
-keys and divides exactly by one linear factor, and the base's symmetry
-in each block is certified first.  Every other sum stays flat, through
+that base (`symmetrized_sum`): each step swaps two variables and divides
+exactly by one linear factor, and the base's symmetry in each block is
+certified first.  Every other sum stays flat, through
 `fraction_free_sum`, including `evaluate_overlap` of `diagram_sylvester`,
 which therefore checks `sylvester_double_sum` on an independent route.
+Both routes run the dense kernels of `exactalg.multipoly` on one packed
+layout, wide enough for a degree bound derived from the terms, and
+return the packed sum as a `MultiPoly` with no decode.
 
 Overlap diagrams consist of flower foams (one maximal-thickness facet
 with petal disks whose sizes partition the alphabet) and maximal-
@@ -54,14 +57,15 @@ symbolic proof.
 from __future__ import annotations
 
 import itertools
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .exactalg.multipoly import MultiPoly, esym, is_symmetric
+from .exactalg.multipoly import (MultiPoly, _dense_divexact_linear, _dense_divided_difference,
+                                 _dense_mul, _dense_mul_linear, esym, is_symmetric,
+                                 packed_layout)
 
 
 class FoamValueError(ValueError):
@@ -115,105 +119,6 @@ class Term:
     den: tuple[tuple[str, str], ...]
 
 
-# Dense engine: monomials are exponent vectors packed into one integer,
-# `width` bits per variable, so multiplying by a variable is an integer add.
-# fraction_free_sum takes the narrowest machine word (8 to 64 bits) that
-# holds the cleared degree, which bounds every exponent it builds.
-# _from_dense splits each key into a low half-key (the first len(names) // 2
-# variables) and a high one (the rest), and decodes each distinct half-key
-# once, on one path: a bytes-to-words cast, then one shared (variable,
-# exponent) pair per variable and exponent.  A monomial is the low half's
-# tuple plus the high half's, so most keys of a large sum cost two dict
-# lookups and one concatenation.
-_WORD_FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"}  # bytes per word -> memoryview cast
-
-
-def _dense_mul_linear(d: dict, su: int, sv: int) -> dict:
-    # shifting keys is injective, so the u half needs no lookups; a key of
-    # the -v half meets at most one u-half key, and is dropped if it cancels
-    bu, bv = 1 << su, 1 << sv
-    out = {k + bu: c for k, c in d.items()}
-    get = out.get
-    for k, c in d.items():
-        k += bv
-        c = get(k, 0) - c
-        if c:
-            out[k] = c
-        else:
-            out.pop(k, None)
-    return out
-
-
-def _dense_mul(d1: dict, d2: dict) -> dict:
-    out: dict[int, object] = {}
-    for k1, c1 in d1.items():
-        for k2, c2 in d2.items():
-            k = k1 + k2
-            out[k] = out.get(k, 0) + c1 * c2
-    return {k: c for k, c in out.items() if c}
-
-
-def _dense_divexact_linear(d: dict, su: int, sv: int, mask: int) -> dict:
-    """Exact synthetic division by (u - v) on packed keys."""
-    if not d:
-        return {}
-    # keys are distinct, so each (u-degree, rest) slot is filled once
-    by_deg: dict[int, dict[int, object]] = {}
-    for k, c in d.items():
-        e = (k >> su) & mask
-        try:
-            by_deg[e][k - (e << su)] = c
-        except KeyError:
-            by_deg[e] = {k - (e << su): c}
-    bv = 1 << sv
-    quot: dict[int, object] = {}
-    carry: dict[int, object] = {}  # no zero values
-    for e in range(max(by_deg), 0, -1):
-        level = by_deg.get(e)
-        if level:
-            get = carry.get
-            for k, c in level.items():
-                c += get(k, 0)
-                if c:
-                    carry[k] = c
-                else:
-                    carry.pop(k, None)
-        # carry now holds the quotient coefficient of u^(e-1)
-        base = (e - 1) << su
-        quot.update({base + k: c for k, c in carry.items()})
-        carry = {k + bv: c for k, c in carry.items()}
-    # the remainder, level 0 plus the carry, must vanish
-    rem = by_deg.get(0, {})
-    if (any(c + rem.get(k, 0) for k, c in carry.items())
-            or any(c for k, c in rem.items() if k not in carry)):
-        raise ArithmeticError("dense linear division is not exact")
-    return quot
-
-
-def _dense_divided_difference(d: dict, su: int, sv: int, mask: int) -> dict:
-    """(f - s f) / (u - v) on packed keys, s swapping the fields of u and v.
-
-    f - s f is built in one pass over the keys, and the exact division
-    raises on a remainder.
-    """
-    step = (1 << su) - (1 << sv)
-    diff = {}
-    get = d.get
-    for k, c in d.items():
-        # moving e_v - e_u from the v field to the u field swaps the two;
-        # a key fixed by s cancels
-        t = ((k >> sv) & mask) - ((k >> su) & mask)
-        if t:
-            sk = k + t * step
-            c2 = get(sk)
-            if c2 is None:  # s k is not a key of f: both entries are set here
-                diff[k] = c
-                diff[sk] = -c
-            elif c != c2:  # s k is a key of f: its own visit sets its entry
-                diff[k] = c - c2
-    return _dense_divexact_linear(diff, su, sv, mask)
-
-
 def _collect_variables(terms: Sequence[Term], delta_alphabets) -> list[str]:
     vs = set()
     for alpha in delta_alphabets:
@@ -228,62 +133,6 @@ def _collect_variables(terms: Sequence[Term], delta_alphabets) -> list[str]:
             vs.add(u)
             vs.add(v)
     return sorted(vs)
-
-
-def _to_dense(p: MultiPoly, shift_of: dict) -> dict:
-    out = {}
-    for m, c in p.terms.items():
-        key = 0
-        for v, e in m:
-            key += e << shift_of[v]
-        out[key] = c
-    return out
-
-
-def _decode_half_key(key: int, pairs: list, nbytes: int, fmt: str) -> tuple:
-    """The monomial tuple of a half-key over `pairs` (pairs[i][e] is the
-    pair of its variable i and exponent e, None for e = 0): the key is
-    written out as bytes and read back as one machine word per variable."""
-    words = memoryview(key.to_bytes(nbytes, sys.byteorder)).cast(fmt)
-    if sys.byteorder == "big":  # the native words come highest variable first
-        words = words[::-1]
-    return tuple(filter(None, map(list.__getitem__, pairs, words)))
-
-
-def _from_dense(d: dict, names: list[str], width: int, degree: int) -> MultiPoly:
-    """Unpack a packed dict whose exponents are at most `degree`.
-
-    Each key is split at h = len(names) // 2 variables into a low half-key
-    (names[:h]) and a high one (names[h:]).  A half-key is decoded on its
-    first sight only, and its tuple kept in that half's memo; a monomial
-    is the low tuple plus the high tuple, which is canonical as names are
-    sorted.  One (variable, exponent) pair is shared per variable and
-    exponent.  Zero coefficients are dropped, and the terms keep the order
-    of the keys.
-    """
-    size, h = width // 8, len(names) // 2
-    split = width * h
-    low = (1 << split) - 1
-    # pairs[i][e] is (names[i], e); pairs[i][0] is None and is filtered out
-    pairs = [[None] + [(nm, e) for e in range(1, degree + 1)] for nm in names]
-    fmt = _WORD_FORMAT[size]
-    lo_pairs, lo_bytes = pairs[:h], size * h
-    hi_pairs, hi_bytes = pairs[h:], size * (len(names) - h)
-    lo_memo, hi_memo = {}, {}
-    lo_get, hi_get = lo_memo.get, hi_memo.get
-    out = {}
-    for k, c in d.items():
-        if c:
-            lo = k & low
-            lo_mono = lo_get(lo)
-            if lo_mono is None:
-                lo_mono = lo_memo[lo] = _decode_half_key(lo, lo_pairs, lo_bytes, fmt)
-            hi = k >> split
-            hi_mono = hi_get(hi)
-            if hi_mono is None:
-                hi_mono = hi_memo[hi] = _decode_half_key(hi, hi_pairs, hi_bytes, fmt)
-            out[lo_mono + hi_mono] = c
-    return MultiPoly._raw(out)
 
 
 def cleared_degree(terms: Sequence[Term], delta_alphabets: Sequence[Sequence[str]]) -> int:
@@ -320,13 +169,10 @@ def fraction_free_sum(terms: Iterable[Term],
     C is coprime to L, so a polynomial sum stays one without it.
     """
     terms = list(terms)
-    names = _collect_variables(terms, delta_alphabets)
     # checks every denominator against V; L divides V, so no product below
-    # exceeds the cleared degree
-    degree = cleared_degree(terms, delta_alphabets)
-    width = min(8 * size for size in _WORD_FORMAT if degree >> (8 * size) == 0)
-    mask = (1 << width) - 1
-    shift_of = {nm: width * i for i, nm in enumerate(names)}
+    # exceeds the cleared degree, which the layout's width holds
+    layout = packed_layout(_collect_variables(terms, delta_alphabets),
+                           cleared_degree(terms, delta_alphabets))
 
     lcm: dict[frozenset, tuple[str, str]] = {}
     for term in terms:
@@ -341,21 +187,25 @@ def fraction_free_sum(terms: Iterable[Term],
     get = acc.get
     for term in terms:
         den = {frozenset(f) for f in term.den}
-        cur = {0: (-1) ** sum(f != lcm[frozenset(f)] for f in term.den)}
+        sign = (-1) ** sum(f != lcm[frozenset(f)] for f in term.den)
+        cur = MultiPoly.const(sign).packed_on(layout)
         for key, (u, v) in lcm.items():
             if key not in den:
-                cur = _dense_mul_linear(cur, shift_of[u], shift_of[v])
+                cur = _dense_mul_linear(cur, layout, u, v)
         for p in term.polys:
-            cur = _dense_mul(cur, _to_dense(p, shift_of))
+            cur = _dense_mul(cur, p.packed_on(layout))
         for u, v in (Counter(term.lin) - common).elements():
-            cur = _dense_mul_linear(cur, shift_of[u], shift_of[v])
+            cur = _dense_mul_linear(cur, layout, u, v)
         for k, c in cur.items():
             acc[k] = get(k, 0) + c
+    # the exact divisions drop the zeros the sum leaves; without them, drop here
+    if not lcm:
+        acc = {k: c for k, c in acc.items() if c}
     for u, v in lcm.values():
-        acc = _dense_divexact_linear(acc, shift_of[u], shift_of[v], mask)
+        acc = _dense_divexact_linear(acc, layout, u, v)
     for u, v in common.elements():
-        acc = _dense_mul_linear(acc, shift_of[u], shift_of[v])
-    return _from_dense(acc, names, width, degree)
+        acc = _dense_mul_linear(acc, layout, u, v)
+    return MultiPoly.from_packed(layout, acc)
 
 
 def evaluate_terms_at(terms: Iterable[Term], assignment) -> Fraction:
@@ -436,14 +286,11 @@ def symmetrized_sum(lin: Sequence[tuple[str, str]],
                 if Counter((swap.get(y, y), swap.get(z, z)) for y, z in lin) != factors:
                     raise FoamValueError(
                         f"the base term is not symmetric in {u} and {v}")
-    names = sorted({w for f in lin for w in f} | {w for vs, _ in splits for w in vs})
-    # exponents never exceed the number of factors
-    degree = len(lin)
-    width = min(8 * size for size in _WORD_FORMAT if degree >> (8 * size) == 0)
-    mask = (1 << width) - 1
-    shift_of = {nm: width * i for i, nm in enumerate(names)}
+    # the total degree never exceeds the number of factors
+    layout = packed_layout({w for f in lin for w in f} | {w for vs, _ in splits for w in vs},
+                           len(lin))
 
-    cur, pending = {0: 1}, list(lin)
+    cur, pending = MultiPoly.one().packed_on(layout), list(lin)
     for vs, k in splits:
         for i in range(k, 0, -1):
             for j in range(i, i + len(vs) - k):
@@ -451,14 +298,14 @@ def symmetrized_sum(lin: Sequence[tuple[str, str]],
                 held = []
                 for f in pending:
                     if u in f or v in f:
-                        cur = _dense_mul_linear(cur, shift_of[f[0]], shift_of[f[1]])
+                        cur = _dense_mul_linear(cur, layout, *f)
                     else:
                         held.append(f)
                 pending = held
-                cur = _dense_divided_difference(cur, shift_of[u], shift_of[v], mask)
+                cur = _dense_divided_difference(cur, layout, u, v)
     for y, z in pending:
-        cur = _dense_mul_linear(cur, shift_of[y], shift_of[z])
-    return _from_dense(cur, names, width, degree)
+        cur = _dense_mul_linear(cur, layout, y, z)
+    return MultiPoly.from_packed(layout, cur)
 
 
 @lru_cache(maxsize=256)

@@ -188,12 +188,6 @@ def generators(n: int) -> list[tuple]:
     return [embed_block(beta_perm(k), 2**n, 0) for k in range(n, 0, -1)]
 
 
-@functools.cache
-def _index(n: int) -> dict:
-    """G(n)[i] -> i over the cached elements (shared: read only)."""
-    return {g: i for i, g in enumerate(_elements(n))}
-
-
 # Index tables.  With M = |G(n-1)|, the element of index r*M^2 + i*M + j is
 # beta^r o (a x b), a = G(n-1)[i], b = G(n-1)[j], and since
 # (a x b) o beta = beta o (b x a), multiplying it by a generator moves its
@@ -302,9 +296,8 @@ def group_facts(n: int) -> dict:
     if n > 4:
         raise ValueError("full enumeration is desk-scale only (n <= 4)")
     elems = _elements(n)
-    index = _index(n)
     report = {}
-    report["order"] = len(index)
+    report["order"] = len(set(elems))
     report["order_expected"] = 2 ** (2**n - 1)
     report["order_ok"] = report["order"] == report["order_expected"] == len(elems)
 
@@ -316,15 +309,16 @@ def group_facts(n: int) -> dict:
     report["center"] = sorted(center)
     report["center_ok"] = report["center"] == sorted([ident, cn])
 
-    # coset decomposition along the index-two subgroup (it keeps the halves):
-    # H beta = beta H = G \ H, compared as index sets (-1: not in G)
+    # coset decomposition along the index-two subgroup H (it keeps the
+    # halves): H beta = beta H = G \ H, the r = 1 half of the wreath order,
+    # read off beta's left and right multiplication tables
     half = 2 ** (n - 1)
-    h_elems = [g for g in elems if g[0] < half]
-    beta = beta_perm(n)
+    h_index = [i for i, g in enumerate(elems) if g[0] < half]
+    beta_left, beta_right = next(_generator_tables(n))
     report["coset_ok"] = (
-        {index.get(p_compose(g, beta), -1) for g in h_elems}
-        == {index.get(p_compose(beta, g), -1) for g in h_elems}
-        == {i for i, g in enumerate(elems) if g[0] >= half}
+        {beta_right[i] for i in h_index}
+        == {beta_left[i] for i in h_index}
+        == set(range(len(elems) // 2, len(elems)))
     )
 
     report["twist_ok"] = _twist_ok(n)

@@ -497,6 +497,67 @@ def test_readme_commands_parse():
         parser.parse_args(shlex.split(line)[1:])
 
 
+# SHA-256 of the --json stdout of every README command, plus the largest
+# Sylvester sum; taken before MultiPoly moved onto packed keys, and never
+# regenerated, so any change to a report's bytes fails here.
+_README_JSON_DIGESTS = {
+    "foamlib tqft eval --surface demos/surfaces/genus2_three_defects.json --both":
+        "b720b34c2761a9757e11f59460b9f751c031b5d175f51d1751b23af3a4fb9904",
+    "foamlib tqft eval --surface demos/surfaces/torus_sigma.json":
+        "d40dd84bd06b1ff160c7d681bab98b6a8b217e18634c8fb71229655e28ed4460",
+    "foamlib verify sylvester --m 2 --n 1 --p 1 --q 0":
+        "38424c2de57a7fe01b8a590aa04086cd224266a02ab262dc257ffae6a53ca704",
+    "foamlib verify exchange --m 3 --n 3 --mode symbolic":
+        "45df758c278ac54be09078ade0f659b828123bfad1ad8883e4e0fb5643204e1e",
+    "foamlib verify chenlouck --m 4 --d 2":
+        "f639706221714dc1bde670e3164f6eb9cd03d8d7d734f3d915208de234f11f79",
+    "foamlib verify dksv --m 2 --n 2 --d 1 --size-x 1 --size-e 3 --mode grid":
+        "8c3f40af4262e7353c024c26a3ea899e76b9ec5a699cfb72db8147d4dc9620d6",
+    'foamlib mf trace --f "x^2-2" --p "x^3"':
+        "173f9e979db4877eb8ec6a49ac4ee2e3de16a10d0e42f39b5d2175a36945f4b3",
+    'foamlib mf hessian --f "x^3-x-1" --trials 10':
+        "2c03fbe940f5fd8e064b5cf70918852fdbc26510706b52feee3891a83cf4d939",
+    'foamlib mf backend --f "x^2-2"':
+        "2cf3f6e57a014114330b3e13add7c90cdd009d74e97767813f3026a06e4a36b1",
+    "foamlib wreath facts -n 3":
+        "2fbb4e61ed93d355970aa036128dc6a5d8bca5a2670bb82623bba2d6bd69097a",
+    "foamlib wreath d4-table":
+        "bf07ba6dd41bee9f62d29a33694cd396b28c3824ae640d478dbd42282b64acc5",
+    "foamlib wreath oor -n 4":
+        "b25821928b19edad192b6bc56d0fa839a94a524650c102fa57035050a8734da5",
+    "foamlib web qmoy --N 4 --parts 1,1,2":
+        "e741e307f583db740734e8d69fd3d15b3c811197abaea88ac6dd1417d55e0701",
+    'foamlib web decompose --p 2 --f "x^3+x+1" --parts 1,1,1':
+        "ef4ef9cda20e608a0f803f29e32422f4bd023ff4d0e656b0c43e47836edcc901",
+    "foamlib suite smoke":
+        "e74499fae49f48bc9f88840a79fd1fae927413b5da0f2da3332567b37dea4d1e",
+    "foamlib suite full":
+        "5bb353688f6911c7790964972d8492055b06afe75f5e696333b27e20d4561299",
+    "foamlib verify sylvester --m 4 --n 4 --p 4 --q 4":
+        "95461b31959abbda86d58a25d3fdcb471c5713121093269104cc5a6410c2bb09",
+}
+
+
+def test_readme_commands_json_is_byte_identical(monkeypatch, capsys):
+    import hashlib
+    import shlex
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    block = (root / "README.md").read_text().split("## Command line", 1)[1]
+    block = block.split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].strip() for line in block.splitlines()]
+    commands = [line for line in lines if line.startswith("foamlib ")]
+    commands.append("foamlib verify sylvester --m 4 --n 4 --p 4 --q 4")
+    assert sorted(commands) == sorted(_README_JSON_DIGESTS)
+    # input_digest hashes the paths as given, relative to the repo root
+    monkeypatch.chdir(root)
+    for line in commands:
+        assert run(["--json"] + shlex.split(line)[1:]) == 0, line
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == _README_JSON_DIGESTS[line], line
+
+
 def test_zero_denominator_in_polynomial_exit_2(capsys):
     assert run(["mf", "trace", "--f", "x^2-2", "--p", "1/0"]) == 2
     assert "nonzero" in capsys.readouterr().err

@@ -265,6 +265,199 @@ def test_render_order_is_the_pair_key_order(terms):
     assert p.render() == (_render_by_pair_key(p) if p.terms else "0")
 
 
+# ------------------------------------- packed MultiPoly against tuple keys
+#
+# The tuple-keyed arithmetic MultiPoly had before its keys were packed,
+# kept as the reference: a polynomial is {((var, exp), ...): coeff} with
+# names sorted, exponents > 0 and no zero coefficient.
+
+
+def _mono_mul(a, b):
+    if not a:
+        return b
+    if not b:
+        return a
+    # merge two name-sorted tuples
+    out = []
+    i = j = 0
+    la, lb = len(a), len(b)
+    while i < la and j < lb:
+        va, ea = a[i]
+        vb, eb = b[j]
+        if va == vb:
+            out.append((va, ea + eb))
+            i += 1
+            j += 1
+        elif va < vb:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
+
+
+def _ref_add(p, q, sign=1):
+    out = dict(p)
+    for m, c in q.items():
+        v = out.get(m, 0) + sign * c
+        if v:
+            out[m] = v
+        else:
+            out.pop(m, None)
+    return out
+
+
+def _ref_mul(p, q):
+    out = {}
+    for ma, ca in p.items():
+        for mb, cb in q.items():
+            m = _mono_mul(ma, mb)
+            out[m] = out.get(m, 0) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_subs_vars(p, mapping):
+    out = {}
+    for m, c in p.items():
+        d = {}
+        for v, e in m:
+            w = mapping.get(v, v)
+            d[w] = d.get(w, 0) + e
+        mm = tuple(sorted(d.items()))
+        out[mm] = out.get(mm, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_eval(p, point):
+    total = Fraction(0)
+    for m, c in p.items():
+        for v, e in m:
+            c *= Fraction(point[v]) ** e
+        total += c
+    return total
+
+
+_PACK_NAMES = ["a", "a1", "a10", "a2", "b", "x"]
+# 8-bit words at first; sums of 200 and 256 upward need 16 bits
+_PACK_EXPONENTS = [1, 2, 3, 11, 127, 200, 255, 256, 300]
+_packed_monomials = st.dictionaries(
+    st.sampled_from(_PACK_NAMES), st.sampled_from(_PACK_EXPONENTS), max_size=3,
+).map(lambda m: tuple(sorted(m.items())))
+_packed_coefficients = st.one_of(
+    st.integers(-5, 5), st.fractions(min_value=-4, max_value=4, max_denominator=6))
+_reference_polys = st.dictionaries(_packed_monomials, _packed_coefficients,
+                                   max_size=6).map(lambda d: {m: c for m, c in d.items() if c})
+
+
+@settings(max_examples=150, deadline=None)
+@given(_reference_polys, _reference_polys, st.integers(0, 3), _packed_coefficients,
+       st.dictionaries(st.sampled_from(_PACK_NAMES), st.sampled_from(_PACK_NAMES)),
+       st.lists(st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=3)),
+                min_size=len(_PACK_NAMES), max_size=len(_PACK_NAMES)))
+def test_packed_multipoly_matches_the_tuple_reference(p, q, e, c, mapping, values):
+    # p and q use different name tuples, and often different widths
+    P, Q = MultiPoly(p), MultiPoly(q)
+    assert (P + Q).terms == _ref_add(p, q)
+    assert (P - Q).terms == _ref_add(p, q, -1)
+    assert (P * Q).terms == _ref_mul(p, q)
+    power = {(): 1}
+    for _ in range(e):
+        power = _ref_mul(power, p)
+    assert (P ** e).terms == power
+    assert P.scale(c).terms == ({m: c * v for m, v in p.items()} if c else {})
+    assert (-P).terms == {m: -v for m, v in p.items()}
+    # renames that swap or merge names
+    assert P.subs_vars(mapping).terms == _ref_subs_vars(p, mapping)
+    point = dict(zip(_PACK_NAMES, values))
+    assert P.eval(point) == _ref_eval(p, point)
+    for name in _PACK_NAMES:
+        assert P.degree_in(name) == max((e for m in p for v, e in m if v == name), default=0)
+    assert P.total_degree() == max((sum(e for _, e in m) for m in p), default=0)
+    assert P.variables() == {v for m in p for v, _ in m}
+    assert P.render() == (_render_by_pair_key(P) if p else "0")
+    # the terms view: len, items, [], membership and == with a dict
+    view = (P * Q).terms
+    want = _ref_mul(p, q)
+    assert len(view) == len(want)
+    assert dict(view.items()) == want and view == want
+    assert sorted(view) == sorted(want)
+    for m, v in want.items():
+        assert view[m] == v and m in view
+    assert (("zz", 1),) not in view
+
+
+def test_products_that_cross_a_word_repack_wider():
+    x, y = MultiPoly.var("x"), MultiPoly.var("y")
+    p = x ** 200 * y
+    assert p.layout.width == 8
+    q = p * x ** 100
+    assert q.layout.width == 16 and q.terms == {(("x", 300), ("y", 1)): 1}
+    r = (x ** 40000) * (x ** 30000 + y)
+    assert r.layout.width == 32
+    assert r.terms == {(("x", 70000),): 1, (("x", 40000), ("y", 1)): 1}
+    assert r.degree_in("x") == 70000 and r.total_degree() == 70000
+    # the dots of the overlap regression, s1^127 s1^127 s1^5
+    s1 = MultiPoly.var("s1")
+    assert (s1 ** 127 * s1 ** 127 * s1 ** 5).terms == {(("s1", 259),): 1}
+    assert (x ** 255 * y).render() == "x^255*y"
+
+
+def test_equal_polys_on_other_layouts_compare_and_hash_equal():
+    a, b, c = MultiPoly.var("a"), MultiPoly.var("b"), MultiPoly.var("c")
+    p = a * a + b
+    wider_names = (p + c) - c  # c is in the name tuple, unused
+    wider_words = (p + a ** 300) - a ** 300  # 16-bit words
+    assert (p.layout.names, p.layout.width) == (("a", "b"), 8)
+    assert (wider_names.layout.names, wider_names.layout.width) == (("a", "b", "c"), 8)
+    assert (wider_words.layout.names, wider_words.layout.width) == (("a", "b"), 16)
+    for other in (wider_names, wider_words, parse_poly("b + a^2")):
+        assert other == p and p == other
+        assert hash(other) == hash(p)
+        assert other.render() == p.render() == "a^2 + b"
+    assert a - a == MultiPoly.zero() and hash(a - a) == hash(MultiPoly.zero())
+    assert p != p + c - b
+
+
+@settings(max_examples=60, deadline=None)
+@given(_reference_polys, _reference_polys)
+def test_equality_and_hash_ignore_unused_names_and_widths(p, q):
+    P = MultiPoly(p)
+    padded = (P + MultiPoly(q)) - MultiPoly(q)
+    assert padded == P and hash(padded) == hash(P)
+    assert (padded == MultiPoly(q)) == (p == q)
+
+
+def test_packed_on_takes_a_layout_that_holds_the_names_used():
+    from foamlib.exactalg.multipoly import packed_layout
+
+    a, b, c = MultiPoly.var("a"), MultiPoly.var("b"), MultiPoly.var("c")
+    p = (a * b + c) - c  # c is in its name tuple, unused
+    layout = packed_layout(["a", "b"], 2)
+    assert MultiPoly.from_packed(layout, p.packed_on(layout)) == a * b
+    with pytest.raises(ValueError):
+        p.packed_on(packed_layout(["a"], 2))  # b is used
+    with pytest.raises(ValueError):
+        (a ** 300).packed_on(packed_layout(["a"], 255))  # 300 needs 16 bits
+
+
+def test_terms_is_a_read_only_view():
+    p = parse_poly("2*a^3*b - 1/2")
+    view = p.terms
+    assert dict(view) == {(("a", 3), ("b", 1)): 2, (): Fraction(-1, 2)}
+    with pytest.raises(TypeError):
+        view[()] = 1
+    with pytest.raises(KeyError):
+        view[(("a", 1),)]
+    with pytest.raises(KeyError):
+        view[(("zz", 1),)]
+    # nothing decoded is kept on the polynomial
+    assert not hasattr(p, "__dict__")
+    assert set(MultiPoly.__slots__) == {"layout", "packed"}
+
+
 # ----------------------------------------------------------- ring axioms
 
 small_fracs = st.fractions(

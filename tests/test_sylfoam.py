@@ -1,5 +1,3 @@
-import sys
-
 import pytest
 
 from foamlib.exactalg.multipoly import MultiPoly, esym, parse_poly
@@ -408,14 +406,14 @@ def test_fraction_free_sum_matches_reference():
 
 
 def test_dense_division_is_loud():
-    from foamlib.sylfoam import _dense_divexact_linear, _to_dense
+    from foamlib.exactalg.multipoly import _dense_divexact_linear, packed_layout
 
-    shift_of = {"u": 0, "v": 8}
+    layout = packed_layout(["u", "v"], 3)
     u, v = MultiPoly.var("u"), MultiPoly.var("v")
-    exact = _to_dense((u - v) * (u * u + v), shift_of)
-    assert _dense_divexact_linear(exact, 0, 8, 255) == _to_dense(u * u + v, shift_of)
+    exact = ((u - v) * (u * u + v)).packed_on(layout)
+    assert _dense_divexact_linear(exact, layout, "u", "v") == (u * u + v).packed_on(layout)
     with pytest.raises(ArithmeticError):
-        _dense_divexact_linear(_to_dense(u * u + v, shift_of), 0, 8, 255)
+        _dense_divexact_linear((u * u + v).packed_on(layout), layout, "u", "v")
 
 
 def test_full_sylvester_sum_is_the_bare_product():
@@ -537,81 +535,87 @@ def test_fraction_free_sum_matches_reference_on_random_terms():
 _PACKED_NAMES = ("a", "b", "c")
 
 
-def _packed_dicts(width, exponents):
-    """Packed dicts over a, b, c, `width` bits each, zero values included."""
+def _monomials(exponents):
+    """Monomials over a, b, c with exponents drawn from `exponents`."""
+    from hypothesis import strategies as st
+
+    return st.tuples(*[st.sampled_from(exponents)] * 3).map(
+        lambda es: tuple((nm, e) for nm, e in zip(_PACKED_NAMES, es) if e))
+
+
+def _coefficients():
     from fractions import Fraction
 
     from hypothesis import strategies as st
 
-    key = st.tuples(*[st.sampled_from(exponents)] * 3).map(
-        lambda es: sum(e << (width * i) for i, e in enumerate(es)))
-    coeff = st.one_of(st.integers(-3, 3),
-                      st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
-    return st.dictionaries(key, coeff, max_size=10)
+    return st.one_of(st.integers(-3, 3),
+                     st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
 
 
-def _term_by_term(d, width):
-    """The MultiPoly of a packed dict, one term per key; drops zeros."""
-    mask = (1 << width) - 1
-    return MultiPoly({
-        tuple((nm, (k >> (width * i)) & mask)
-              for i, nm in enumerate(_PACKED_NAMES) if (k >> (width * i)) & mask): c
-        for k, c in d.items()})
+def _packed_polys(exponents=range(4)):
+    """MultiPolys over a, b, c, at most 10 terms."""
+    from hypothesis import strategies as st
+
+    return st.dictionaries(_monomials(exponents), _coefficients(), max_size=10).map(MultiPoly)
 
 
 def _linear_factors():
     from hypothesis import strategies as st
 
-    return st.permutations(range(3)).map(lambda p: (p[0], p[1]))
+    return st.permutations(_PACKED_NAMES).map(lambda p: (p[0], p[1]))
 
 
 def test_dense_mul_linear_is_multiplication_by_u_minus_v():
     from hypothesis import given, settings
 
-    from foamlib.sylfoam import _dense_mul_linear
+    from foamlib.exactalg.multipoly import _dense_mul_linear, packed_layout
+
+    layout = packed_layout(_PACKED_NAMES, 10)
 
     @settings(max_examples=150, deadline=None)
-    @given(_packed_dicts(8, range(4)), _linear_factors())
-    def check(d, uv):
+    @given(_packed_polys(), _linear_factors())
+    def check(f, uv):
         u, v = uv
-        got = _dense_mul_linear(d, 8 * u, 8 * v)
-        factor = MultiPoly.var(_PACKED_NAMES[u]) - MultiPoly.var(_PACKED_NAMES[v])
-        assert _term_by_term(got, 8) == _term_by_term(d, 8) * factor
-        if all(d.values()):
-            assert all(got.values())
+        got = _dense_mul_linear(f.packed_on(layout), layout, u, v)
+        factor = MultiPoly.var(u) - MultiPoly.var(v)
+        assert MultiPoly.from_packed(layout, got) == f * factor
+        assert all(got.values())
 
     check()
-    # (u + v)(u - v) = u^2 - v^2: the cancelled uv is dropped, not kept as 0
-    assert _dense_mul_linear({1: 1, 1 << 8: 1}, 0, 8) == {2: 1, 2 << 8: -1}
+    # (a + b)(a - b) = a^2 - b^2: the cancelled ab is dropped, not kept as 0
+    a, b = MultiPoly.var("a"), MultiPoly.var("b")
+    assert (_dense_mul_linear((a + b).packed_on(layout), layout, "a", "b")
+            == (a * a - b * b).packed_on(layout))
 
 
 def test_dense_divexact_linear_inverts_it_and_refuses_a_remainder():
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
-    from foamlib.sylfoam import _dense_divexact_linear, _dense_mul_linear
+    from foamlib.exactalg.multipoly import (_dense_divexact_linear, _dense_mul_linear,
+                                            packed_layout)
 
-    key = st.tuples(*[st.integers(0, 3)] * 3).map(
-        lambda es: sum(e << (8 * i) for i, e in enumerate(es)))
+    layout = packed_layout(_PACKED_NAMES, 10)
+    mono = _monomials(range(4))
 
     @settings(max_examples=150, deadline=None)
-    @given(_packed_dicts(8, range(4)), _linear_factors(), st.lists(key, max_size=4),
-           key, st.integers(-3, 3).filter(bool))
-    def check(d, uv, zero_keys, stray, delta):
-        su, sv = 8 * uv[0], 8 * uv[1]
-        product = _dense_mul_linear(d, su, sv)
-        for k in zero_keys:
-            product.setdefault(k, 0)
-        quot = _dense_divexact_linear(product, su, sv, 255)
-        assert _term_by_term(quot, 8) == _term_by_term(d, 8)
+    @given(_packed_polys(), _linear_factors(), st.lists(mono, max_size=4),
+           mono, st.integers(-3, 3).filter(bool))
+    def check(f, uv, zero_monos, stray, delta):
+        product = _dense_mul_linear(f.packed_on(layout), layout, *uv)
+        for m in zero_monos:
+            product.setdefault(layout.key(m), 0)
+        quot = _dense_divexact_linear(product, layout, *uv)
+        assert MultiPoly.from_packed(layout, quot) == f
         assert all(quot.values())
         # a stray monomial makes a remainder, here beside zero entries
         bad = dict(product)
-        bad[stray] = bad.get(stray, 0) + delta
-        for k in (stray + (1 << su), stray + (1 << sv)):
-            bad.setdefault(k, 0)
+        k = layout.key(stray)
+        bad[k] = bad.get(k, 0) + delta
+        for w in uv:
+            bad.setdefault(layout.key(stray + ((w, 1),)), 0)
         with pytest.raises(ArithmeticError):
-            _dense_divexact_linear(bad, su, sv, 255)
+            _dense_divexact_linear(bad, layout, *uv)
 
     check()
 
@@ -623,125 +627,80 @@ def _swapped(poly, u, v):
 def test_dense_divided_difference_times_u_minus_v_is_f_minus_swapped_f():
     from hypothesis import given, settings
 
-    from foamlib.sylfoam import _dense_divided_difference
+    from foamlib.exactalg.multipoly import _dense_divided_difference, packed_layout
+
+    layout = packed_layout(_PACKED_NAMES, 9)
 
     @settings(max_examples=150, deadline=None)
-    @given(_packed_dicts(8, range(4)), _linear_factors())
-    def check(d, uv):
-        u, v = (_PACKED_NAMES[i] for i in uv)
-        got = _dense_divided_difference(d, 8 * uv[0], 8 * uv[1], 255)
-        f = _term_by_term(d, 8)
-        assert _term_by_term(got, 8) * (MultiPoly.var(u) - MultiPoly.var(v)) \
+    @given(_packed_polys(), _linear_factors())
+    def check(f, uv):
+        u, v = uv
+        got = _dense_divided_difference(f.packed_on(layout), layout, u, v)
+        assert MultiPoly.from_packed(layout, got) * (MultiPoly.var(u) - MultiPoly.var(v)) \
             == f - _swapped(f, u, v)
         assert all(got.values())
 
     check()
     # (a^2 - b^2) / (a - b) = a + b, over (b - a) it is -(a + b), and a^2
     # is symmetric in b and c
-    assert _dense_divided_difference({2: 1}, 0, 8, 255) == {1: 1, 1 << 8: 1}
-    assert _dense_divided_difference({2: 1}, 8, 0, 255) == {1: -1, 1 << 8: -1}
-    assert _dense_divided_difference({2: 1}, 8, 16, 255) == {}
+    a, b = MultiPoly.var("a"), MultiPoly.var("b")
+    square = (a * a).packed_on(layout)
+    assert _dense_divided_difference(square, layout, "a", "b") == (a + b).packed_on(layout)
+    assert _dense_divided_difference(square, layout, "b", "a") == (-a - b).packed_on(layout)
+    assert _dense_divided_difference(square, layout, "b", "c") == {}
 
 
 def test_dense_divided_difference_of_a_symmetric_f_is_zero():
     from hypothesis import given, settings
 
-    from foamlib.sylfoam import _dense_divided_difference, _to_dense
+    from foamlib.exactalg.multipoly import _dense_divided_difference, packed_layout
 
-    shift_of = {nm: 8 * i for i, nm in enumerate(_PACKED_NAMES)}
+    layout = packed_layout(_PACKED_NAMES, 9)
 
     @settings(max_examples=150, deadline=None)
-    @given(_packed_dicts(8, range(4)), _linear_factors())
-    def check(d, uv):
-        u, v = (_PACKED_NAMES[i] for i in uv)
-        f = _term_by_term(d, 8)
-        symmetric = _to_dense(f + _swapped(f, u, v), shift_of)
-        assert _dense_divided_difference(symmetric, 8 * uv[0], 8 * uv[1], 255) == {}
+    @given(_packed_polys(), _linear_factors())
+    def check(f, uv):
+        u, v = uv
+        symmetric = (f + _swapped(f, u, v)).packed_on(layout)
+        assert _dense_divided_difference(symmetric, layout, u, v) == {}
 
     check()
 
 
 @pytest.mark.parametrize("width, exponents", [(8, range(4)), (16, (0, 1, 2, 259))])
 def test_from_dense_is_the_term_by_term_poly(width, exponents):
+    # a packed sum is wrapped as it is, with no decode: it reads back,
+    # through the terms view, as the polynomial of its monomials
     from hypothesis import given, settings
+    from hypothesis import strategies as st
 
-    from foamlib.sylfoam import _from_dense
+    from foamlib.exactalg.multipoly import packed_layout
+
+    layout = packed_layout(_PACKED_NAMES, 3 * max(exponents))
+    assert layout.width == width
 
     @settings(max_examples=100, deadline=None)
-    @given(_packed_dicts(width, exponents))
-    def check(d):
-        got = _from_dense(d, list(_PACKED_NAMES), width, max(exponents))
-        want = _term_by_term(d, width)
-        assert got == want
-        assert all(got.terms.values())
-        assert [type(c) for c in got.terms.values()] == \
-            [type(c) for c in want.terms.values()]
-        # one (variable, exponent) pair object per variable and exponent
-        pairs = [pair for mono in got.terms for pair in mono]
-        assert len({id(pair) for pair in pairs}) == len(set(pairs))
+    @given(st.dictionaries(_monomials(exponents), _coefficients().filter(bool), max_size=10))
+    def check(terms):
+        got = MultiPoly.from_packed(layout, {layout.key(m): c for m, c in terms.items()})
+        want = MultiPoly(terms)
+        assert got == want and hash(got) == hash(want)
+        # key order kept, coefficient types kept
+        assert list(got.terms.items()) == list(terms.items())
+        assert [type(c) for c in got.terms.values()] == [type(c) for c in terms.values()]
 
     check()
 
 
 def test_from_dense_reads_an_exponent_beyond_a_byte():
-    from foamlib.sylfoam import _from_dense
+    from foamlib.exactalg.multipoly import packed_layout
 
-    got = _from_dense({259 << 16: 2, 3: 0, 1 << 16: 0}, ["a", "b"], 16, 259)
+    layout = packed_layout(["a", "b"], 259)
+    got = MultiPoly.from_packed(layout, {layout.key((("b", 259),)): 2})
+    assert layout.width == 16
     assert got.terms == {(("b", 259),): 2}
-
-
-@pytest.mark.parametrize("width, byteorder", [(8, sys.byteorder), (16, sys.byteorder),
-                                              (32, sys.byteorder), (64, sys.byteorder),
-                                              (8, "big")])
-def test_from_dense_decodes_repeated_half_keys(width, byteorder):
-    # 0 to 9 variables, so an odd or even count and, below 2, an empty low
-    # half; keys are drawn from a few low and high halves, so half-keys
-    # repeat.  Single bytes read the same in either byte order, so at width
-    # 8 the big-endian branch runs here too.
-    from fractions import Fraction
-
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-
-    from foamlib.sylfoam import _from_dense
-
-    degree = min(300, (1 << width) - 1)
-    exponent = st.sampled_from((0, 1, 2, 3, 11, degree))
-    coeff = st.one_of(st.integers(-2, 2),
-                      st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
-
-    @st.composite
-    def packed(draw):
-        n = draw(st.integers(0, 9))
-        h = n // 2
-        los = draw(st.lists(st.tuples(*[exponent] * h), min_size=1, max_size=3))
-        his = draw(st.lists(st.tuples(*[exponent] * (n - h)), min_size=1, max_size=3))
-        d = {}
-        for lo, hi, c in draw(st.lists(st.tuples(st.sampled_from(los),
-                                                 st.sampled_from(his), coeff),
-                                       max_size=12)):
-            d[sum(e << (width * i) for i, e in enumerate(lo + hi))] = c
-        return [f"v{i}" for i in range(n)], d
-
-    @settings(max_examples=60, deadline=None)
-    @given(packed())
-    def check(names_and_dict):
-        names, d = names_and_dict
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sys, "byteorder", byteorder)
-            got = _from_dense(d, names, width, degree)
-        mask = (1 << width) - 1
-        want = [(tuple((nm, (k >> (width * i)) & mask) for i, nm in enumerate(names)
-                       if (k >> (width * i)) & mask), c)
-                for k, c in d.items() if c]
-        # key order kept, zeros dropped, coefficient types kept
-        assert list(got.terms.items()) == want
-        assert [type(c) for c in got.terms.values()] == [type(c) for _, c in want]
-        # one (variable, exponent) pair object per variable and exponent
-        pairs = [pair for mono in got.terms for pair in mono]
-        assert len({id(pair) for pair in pairs}) == len(set(pairs))
-
-    check()
+    assert got.render() == "2*b^259"
+    assert (got.degree_in("b"), got.degree_in("a"), got.variables()) == (259, 0, {"b"})
 
 
 # --------------------------------------- diagram families at larger sizes

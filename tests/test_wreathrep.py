@@ -234,16 +234,22 @@ def test_index_tables_match_composition(n):
         _conjugation_tables,
         _elements,
         _factor_generators,
-        _index,
+        _generator_tables,
         _mackey_tables,
         embed_block,
     )
 
-    elems, index = _elements(n), _index(n)
+    elems = _elements(n)
+    index = {g: i for i, g in enumerate(elems)}
 
     def table(f):
         return [index[f(g)] for g in elems]
 
+    # beta's left and right tables, which group_facts' coset check reads
+    beta = generators(n)[0]
+    left, right = next(_generator_tables(n))
+    assert list(left) == table(lambda g: p_compose(beta, g))
+    assert list(right) == table(lambda g: p_compose(g, beta))
     conj = [table(lambda g, s=s: p_compose(p_compose(s, g), s))
             for s in generators(n)]
     assert [list(t) for t in _conjugation_tables(n)] == conj
