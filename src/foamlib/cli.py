@@ -122,8 +122,7 @@ def cmd_verify(args, report: RunReport):
         report.add("degree_bound", deg_x <= p + q, f"deg_x = {deg_x} <= {p + q}")
         diagram = sylfoam.diagram_sylvester(A, B, p, q)
         agrees = sylfoam.overlap_matches_polynomial(
-            diagram, lambda: sylfoam.sylvester_terms(A, B, p, q),
-        )
+            diagram, sylfoam.sylvester_side(A, B, p, q))
         report.add("foam_matches_formula", agrees)
     elif args.identity == "exchange":
         for entry in sylfoam.verify_exchange(args.m, args.n, mode):

@@ -1,32 +1,21 @@
 """R-products, Sylvester double sums, and overlapping flower foams.
 
-All computations are exact.  Subset-indexed rational sums (Sylvester
-sums, the Exchange identity, the Chen-Louck interpolation formula, the
-three-alphabet partition identity) are handled in two ways sharing one
-term representation:
+All computations are exact.  Every closed side checked here (the
+Sylvester double sum, both sides of the Exchange and DKSV identities,
+the right side of the Chen-Louck interpolation formula) is a `CosetSum`:
+a base term of R-products and symmetric dots on the blocks of splits of
+alphabets, summed over the cosets of the Young subgroups of the splits,
+that is over ordered set partitions, over R(block, block) denominators
+(Lascoux & Pragacz, J. Symb. Comput. 2003).  `CosetSum.symbolic` sums
+it by chains of exact divided differences of the base, whose block
+symmetry it certifies first; `CosetSum.terms` enumerates it into
+factored `Term`s (small polynomials and lists of linear differences).
 
-  * symbolically: every denominator divides the product of Vandermonde
-    determinants of the alphabets involved, so the sum is cleared by L,
-    the lcm of the term denominators.  Each term is multiplied by the
-    factors of L its denominator lacks (no term is divided), the linear
-    factors common to every term are held back, the sum is divided by L
-    with exact linear divisions that raise on nonzero remainder, and the
-    common factors are multiplied back in;
-  * numerically: terms are kept factored (small polynomials plus lists of
-    linear differences) and evaluated at exact rational points, never
-    expanding the products.
-
-`sylvester_double_sum` takes neither route.  Its terms are the images of
-one base term under the cosets of S_p x S_(m-p) in S_m and of
-S_q x S_(n-q) in S_n, so the sum is a chain of divided differences of
-that base (`symmetrized_sum`): each step swaps two variables and divides
-exactly by one linear factor, and the base's symmetry in each block is
-certified first.  Every other sum stays flat, through
-`fraction_free_sum`, including `evaluate_overlap` of `diagram_sylvester`,
-which therefore checks `sylvester_double_sum` on an independent route.
+Only overlap diagrams are summed flat, cleared by the lcm of their term
+denominators (`fraction_free_sum`), over their own colorings, so
+`evaluate_overlap` checks each closed side on an independent route.
 Both routes run the dense kernels of `exactalg.multipoly` on one packed
-layout, wide enough for a degree bound derived from the terms, and
-return the packed sum as a `MultiPoly` with no decode.
+layout and return a `MultiPoly` with no decode.
 
 Overlap diagrams consist of flower foams (one maximal-thickness facet
 with petal disks whose sizes partition the alphabet) and maximal-
@@ -41,17 +30,12 @@ assigns an ordered set partition to each flower; its term is
 Petal dots are symmetric polynomials written in slot variables s1..sk;
 symmetry is validated on adjacent transpositions.
 
-Identity verifiers compare two term lists (a closed side is the one term
-with that polynomial) in two modes.  "symbolic" expands both sides
-exactly (a proof).  "grid" evaluates both sides in integers along one
-line: the variables of the terms, in sorted order, are v_0, v_1, ...,
-and v_i takes the value 1 + i*(D+2) + i^2*t for t = 0..D, where D is the
-total degree of the difference of the sides times the Vandermonde
-product of the delta alphabets (`cleared_degree`).  No two variables
-meet on that line, so no denominator vanishes, and the differences
-v_i - v_j = (i-j)(D+2+(i+j)t) vary along it.  The D + 1 points prove
-that the identity holds on the whole line; that is evidence, not a
-symbolic proof.
+Identity verifiers compare two closed sides in two modes: "symbolic"
+compares `CosetSum.symbolic` (a proof); "grid" evaluates the terms of
+both sides exactly at the D + 1 points of one integer line, D being the
+cleared degree of their difference (`grid_assignments`,
+`cleared_degree`), which proves the identity on that line only:
+evidence, not a proof.
 """
 
 from __future__ import annotations
@@ -87,6 +71,10 @@ def alphabet(name: str, size: int) -> VarAlphabet:
 
 def slots(k: int) -> list[str]:
     return [f"s{i+1}" for i in range(k)]
+
+
+def _dot_value(dot: MultiPoly, color_vars) -> MultiPoly:
+    return dot.subs_vars(dict(zip(slots(len(color_vars)), color_vars)))
 
 
 def r_factors(Y: Sequence[str], Z: Sequence[str]) -> list[tuple[str, str]]:
@@ -142,11 +130,14 @@ def cleared_degree(terms: Sequence[Term], delta_alphabets: Sequence[Sequence[str
     sum(deg polys) - len(den) when its denominator factors are distinct
     factors of V, which is checked.  The bound is the largest of these.
     """
-    pairs = {frozenset(f) for vs in delta_alphabets for f in vandermonde_factors(vs)}
+    which = {}  # each factor of V, in either orientation, to one number
+    for vs in delta_alphabets:
+        for u, v in vandermonde_factors(vs):
+            which[u, v] = which[v, u] = len(which)
     top = 0
     for t in terms:
-        den = {frozenset(f) for f in t.den}
-        if len(den) != len(t.den) or not den <= pairs:
+        den = {which.get(f, -1) for f in t.den}
+        if len(den) != len(t.den) or -1 in den:
             raise FoamValueError("a term denominator does not divide the "
                                  "Vandermonde product of the delta alphabets")
         top = max(top, len(t.lin) + sum(p.total_degree() for p in t.polys)
@@ -235,100 +226,182 @@ def evaluate_terms_at(terms: Iterable[Term], assignment) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Sylvester double sums
+# Closed sides: coset sums
 
 
-def sylvester_terms(A: VarAlphabet, B: VarAlphabet, p: int, q: int):
+@lru_cache(maxsize=256)  # a split recurs across the identities of one run
+def _ordered_partitions(vs: tuple[str, ...], sizes: tuple[int, ...]) -> tuple:
+    """The ordered set partitions of vs with the given block sizes, each
+    block in vs's order, with the factors of prod_{i<j} R(B_i, B_j)."""
+    parts = [((), vs)]  # (blocks chosen, names left)
+    for k in sizes[:-1]:
+        parts = [(done + (b,), tuple([v for v in left if v not in b]))
+                 for done, left in parts for b in itertools.combinations(left, k)]
+    out = []
+    for done, left in parts:
+        blocks = done + (left,)
+        out.append((blocks, tuple([(u, w) for i, bi in enumerate(blocks)
+                                   for bj in blocks[i + 1:] for u in bi for w in bj])))
+    return tuple(out)
+
+
+@dataclass
+class CosetSum:
+    """A closed side: a base term summed over the cosets of Young subgroups.
+
+    A split (V, sizes) has two or more blocks, and its cosets are the
+    ordered set partitions (B_1, ..., B_r) of V with |B_i| = sizes[i],
+    each block in V's order.  The term of one coset of every split is
+    prod R(Y, Z) over `rprods` times prod dot(B) over `dots`, over
+    prod_{i<j} R(B_i, B_j) for each split: Y and Z are name tuples or
+    blocks, a block named by the pair of ints (split, index), and a dot is
+    a symmetric polynomial in slots(|B|) put on its block B.  The block
+    order fixes the denominator's orientation.  The base term takes V's
+    consecutive runs as its blocks.  `terms` (also the call) enumerates
+    the cosets; `symbolic` sums them.
+    """
+
+    rprods: tuple
+    dots: tuple = ()
+    splits: tuple = ()
+
+    def __post_init__(self):
+        # the base's blocks, those of splits with a chain, (alphabet, k) per
+        # two-block chain, and where each split's blocks start in `base`
+        seen, base, moved, chains, offsets = set(), [], [], [], [0]
+        for vs, sizes in self.splits:
+            if len(sizes) < 2 or min(sizes) < 0 or sum(sizes) != len(vs):
+                raise FoamValueError(f"block sizes {tuple(sizes)} are no split of "
+                                     f"{len(vs)} variables into two or more blocks")
+            seen.update(vs)
+            k = 0
+            for size in sizes:
+                base.append(vs[k:k + size])
+                if k and size:
+                    chains.append((vs[:k + size], k))
+                k += size
+            if len(sizes) - sizes.count(0) > 1:
+                moved += base[offsets[-1]:]
+            offsets.append(len(base))
+        fixed: list[tuple] = []  # the name tuples, indexed after the blocks
+
+        def index(side):
+            if side and type(side[0]) is int:
+                return offsets[side[0]] + side[1]
+            fixed.append(tuple(side))
+            return len(base) + len(fixed) - 1
+
+        self._pairs = [(index(Y), index(Z)) for Y, Z in self.rprods]
+        self._dot_at = [(dot, index(b)) for dot, b in self.dots]
+        for dot, i in self._dot_at:
+            if not dot.variables() <= set(sl := slots(len(base[i]))):
+                raise FoamValueError(f"dot {dot.render()} must use slot variables {sl}")
+        self._fixed, self._base, self._chains, self._moved = fixed, base, chains, moved
+        # a name of a split alphabet written out is moved by `symbolic`, not by `terms`
+        self._moves_fixed = not all(map(seen.isdisjoint, fixed))
+
+    @property
+    def alphabets(self) -> list[tuple[str, ...]]:
+        return [vs for vs, _ in self.splits]
+
+    def _factors(self, blocks: list) -> tuple[list, list]:
+        """The linear factors and dot polynomials, given every block."""
+        sides = blocks + self._fixed
+        return ([(y, z) for i, j in self._pairs for y in sides[i] for z in sides[j]],
+                [_dot_value(dot, sides[i]) for dot, i in self._dot_at])
+
+    def terms(self):
+        """The flat sum: one `Term` per choice of coset for every split."""
+        if self._moves_fixed:
+            raise FoamValueError("terms() needs fixed names outside the split alphabets")
+        for combo in itertools.product(*[_ordered_partitions(tuple(vs), tuple(sizes))
+                                         for vs, sizes in self.splits]):
+            lin, polys = self._factors([b for blocks, _ in combo for b in blocks])
+            yield Term(tuple(polys), tuple(lin), tuple([f for _, den in combo for f in den]))
+
+    __call__ = terms
+
+    def symbolic(self) -> MultiPoly:
+        """The sum, as nested chains of divided differences of the base.
+
+        A split with block sizes k_1..k_r is r - 1 two-block chains, inner
+        first: the i-th sums g / R(first, rest) over the cosets of
+        V[:k_1+..+k_(i+1)] split after k = k_1+..+k_i, g being the output
+        of the chain before it.  That sum is d_w g for the longest minimal
+        coset representative w of S_n / (S_k x S_(n-k)) (Lascoux & Pragacz
+        2003): the k(n-k) steps d_j g = (g - s_j g) / (v_j - v_(j+1)) for
+        i = k down to 1 and j = i up to i + n - k - 1.  Chains of different
+        splits act on disjoint variables, so they commute.
+
+        A chain needs its input symmetric in both its blocks.  Its last
+        block is a block of the split, where the base's symmetry is
+        certified by adjacent transpositions, on the factor multiset and on
+        each dot by `subs_vars` of the swap (FoamValueError otherwise).
+        Its first block is the alphabet of the chain before it, whose
+        output is symmetric there by construction, so those swaps are
+        skipped; the first chain certifies both.  A split with one
+        nonempty block is one coset and needs no certificate.
+
+        Each step divides by its own v_j - v_(j+1) only, so nothing swells.
+        A factor or dot is multiplied in just before the first step that
+        moves one of its variables (d_j treats a factor free of v_j and
+        v_(j+1) as a constant); the rest are multiplied in last.
+        """
+        lin, dots = self._factors(self._base)
+        swaps = [(u, v) for block in self._moved for u, v in zip(block, block[1:])]
+        factors = Counter(lin) if swaps else None
+        for u, v in swaps:
+            swap = {u: v, v: u}
+            if (Counter((swap.get(y, y), swap.get(z, z)) for y, z in lin) != factors
+                    or any(dot.subs_vars(swap) != dot for dot in dots)):
+                raise FoamValueError(f"the base term is not symmetric in {u} and {v}")
+        # every name of a block or dot is in a split alphabet, and the total
+        # degree never exceeds that of the base
+        layout = packed_layout(set().union(*self.alphabets, *self._fixed),
+                               len(lin) + sum(dot.total_degree() for dot in dots))
+
+        def times(cur, factor):
+            if isinstance(factor, MultiPoly):
+                return _dense_mul(cur, factor.packed_on(layout))
+            return _dense_mul_linear(cur, layout, *factor)
+
+        cur = {0: 1}  # the constant 1, on any layout
+        pending = [(f, f) for f in lin] + [(dot.variables(), dot) for dot in dots]
+        for vs, k in self._chains:
+            for i in range(k, 0, -1):
+                for j in range(i, i + len(vs) - k):
+                    u, v = vs[j - 1], vs[j]
+                    held = []
+                    for names, factor in pending:
+                        if u in names or v in names:
+                            cur = times(cur, factor)
+                        else:
+                            held.append((names, factor))
+                    pending = held
+                    cur = _dense_divided_difference(cur, layout, u, v)
+        for _, factor in pending:
+            cur = times(cur, factor)
+        return MultiPoly.from_packed(layout, cur)
+
+
+def sylvester_side(A: VarAlphabet, B: VarAlphabet, p: int, q: int) -> CosetSum:
+    """Syl_{p,q}(A, B)(x) as a coset sum: the base
+    R(x, Ap) R(x, Bp) R(Ap, Bp) R(Ac, Bc) over R(Ap, Ac) R(Bp, Bc), A split
+    as (Ap | Ac) with |Ap| = p and B as (Bp | Bc) with |Bp| = q."""
     m, n = len(A), len(B)
     if not (0 <= p <= m and 0 <= q <= n):
         raise FoamValueError(f"(p, q) = {(p, q)} out of range for ({m}, {n})")
-    for Ap in itertools.combinations(A.variables, p):
-        Ac = [a for a in A.variables if a not in Ap]
-        for Bp in itertools.combinations(B.variables, q):
-            Bc = [b for b in B.variables if b not in Bp]
-            lin = (
-                r_factors(Ap, Bp) + r_factors(Ac, Bc)
-                + r_factors(["x"], Ap) + r_factors(["x"], Bp)
-            )
-            yield Term((), tuple(lin), tuple(r_factors(Ap, Ac) + r_factors(Bp, Bc)))
-
-
-def symmetrized_sum(lin: Sequence[tuple[str, str]],
-                    splits: Sequence[tuple[Sequence[str], int]]) -> MultiPoly:
-    """The orbit sum of f / prod R(V[:k], V[k:]) over the split alphabets.
-
-    f is the product of (u - v) over `lin`, and it must be symmetric in
-    each block V[:k] and V[k:] of each split (V, k); that is certified on
-    the factor multiset, adjacent transposition by adjacent transposition,
-    and raises FoamValueError otherwise.  The sum runs over every choice
-    of a k-subset I of each V, the term for I being f / R(V[:k], V[k:])
-    with V[:k] sent to I and V[k:] to V minus I, both in order.  For one
-    split (Lascoux & Pragacz, J. Symb. Comput. 2003) that sum is d_w f,
-    the divided difference of the longest minimal coset representative w
-    of S_m / (S_k x S_(m-k)): the k(m-k) simple steps
-    d_j f = (f - s_j f) / (v_j - v_(j+1)) for i = k down to 1 and
-    j = i up to i + m - k - 1, in that order.  Splits act on disjoint
-    variables, so their operators commute and are applied one after the
-    other.
-
-    No step divides by anything but its own v_j - v_(j+1), so nothing
-    swells.  A split with one block (k = 0 or k = m) adds no step.  A
-    factor is multiplied in just before the first step that moves one of
-    its variables, since d_j treats a factor free of v_j and v_(j+1) as a
-    constant; factors that involve no split are multiplied in last.
-    """
-    factors = Counter(lin)
-    splits = [(tuple(vs), k) for vs, k in splits if 0 < k < len(vs)]
-    for vs, k in splits:
-        for block in (vs[:k], vs[k:]):
-            for u, v in zip(block, block[1:]):
-                swap = {u: v, v: u}
-                if Counter((swap.get(y, y), swap.get(z, z)) for y, z in lin) != factors:
-                    raise FoamValueError(
-                        f"the base term is not symmetric in {u} and {v}")
-    # the total degree never exceeds the number of factors
-    layout = packed_layout({w for f in lin for w in f} | {w for vs, _ in splits for w in vs},
-                           len(lin))
-
-    cur, pending = MultiPoly.one().packed_on(layout), list(lin)
-    for vs, k in splits:
-        for i in range(k, 0, -1):
-            for j in range(i, i + len(vs) - k):
-                u, v = vs[j - 1], vs[j]
-                held = []
-                for f in pending:
-                    if u in f or v in f:
-                        cur = _dense_mul_linear(cur, layout, *f)
-                    else:
-                        held.append(f)
-                pending = held
-                cur = _dense_divided_difference(cur, layout, u, v)
-    for y, z in pending:
-        cur = _dense_mul_linear(cur, layout, y, z)
-    return MultiPoly.from_packed(layout, cur)
+    Ap, Ac, Bp, Bc = (0, 0), (0, 1), (1, 0), (1, 1)
+    return CosetSum(((Ap, Bp), (Ac, Bc), (("x",), Ap), (("x",), Bp)), (),
+                    ((A.variables, (p, m - p)), (B.variables, (q, n - q))))
 
 
 @lru_cache(maxsize=256)
 def sylvester_double_sum(A: VarAlphabet, B: VarAlphabet, p: int, q: int) -> MultiPoly:
-    """Syl_{p,q}(A,B)(x), a polynomial of x-degree at most p + q.
-
-    The term of Ap = a1..ap and Bp = b1..bq has the base
-    f = R(x, Ap) R(x, Bp) R(Ap, Bp) R(Ac, Bc), symmetric in each of Ap,
-    Ac, Bp and Bc, over the denominator R(Ap, Ac) R(Bp, Bc); every other
-    term is its image under a coset of S_p x S_(m-p) in S_m and of
-    S_q x S_(n-q) in S_n.  So the sum is `symmetrized_sum` of that base,
-    a chain of p(m-p) + q(n-q) divided differences.  `sylvester_terms`
-    keeps the flat term list, which `evaluate_overlap` of
-    `diagram_sylvester` sums on its own through `fraction_free_sum`.
-    """
-    m, n = len(A), len(B)
-    if not (0 <= p <= m and 0 <= q <= n):
-        raise FoamValueError(f"(p, q) = {(p, q)} out of range for ({m}, {n})")
-    Ap, Ac = A.variables[:p], A.variables[p:]
-    Bp, Bc = B.variables[:q], B.variables[q:]
-    lin = (r_factors(Ap, Bp) + r_factors(Ac, Bc)
-           + r_factors(["x"], Ap) + r_factors(["x"], Bp))
-    return symmetrized_sum(lin, [(A.variables, p), (B.variables, q)])
+    """Syl_{p,q}(A,B)(x), a polynomial of x-degree at most p + q, by the
+    p(m-p) + q(n-q) divided differences of `sylvester_side`;
+    `evaluate_overlap` of `diagram_sylvester` sums it on its own."""
+    return sylvester_side(A, B, p, q).symbolic()
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +495,7 @@ class OverlapDiagram:
         if len(set(names)) != len(names):
             raise FoamValueError("component names must be unique")
         seen = set()
-        for comp_name, _ in self.components:
-            comp = self.component(comp_name)
+        for _, comp in self.components:
             vs = set(comp.alphabet.variables)
             if vs & seen:
                 raise FoamValueError("alphabets must be disjoint across components")
@@ -436,16 +508,8 @@ class OverlapDiagram:
                 if isinstance(comp, FlowerFoam):
                     if not (isinstance(idx, int) and 0 <= idx < len(comp.sizes)):
                         raise FoamValueError(f"bad petal index {idx} on {nm}")
-                else:
-                    if idx is not None:
-                        raise FoamValueError(
-                            f"surface {nm} has only a body (index None)"
-                        )
-
-
-def _dot_value(dot: MultiPoly, color_vars) -> MultiPoly:
-    mapping = dict(zip(slots(len(color_vars)), color_vars))
-    return dot.subs_vars(mapping)
+                elif idx is not None:
+                    raise FoamValueError(f"surface {nm} has only a body (index None)")
 
 
 def overlap_terms(diagram: OverlapDiagram):
@@ -484,11 +548,7 @@ def overlap_terms(diagram: OverlapDiagram):
 
 
 def _diagram_deltas(diagram: OverlapDiagram):
-    return [
-        c.alphabet.variables
-        for _, c in diagram.components
-        if isinstance(c, FlowerFoam)
-    ]
+    return [c.alphabet.variables for _, c in diagram.components if isinstance(c, FlowerFoam)]
 
 
 def evaluate_overlap(diagram: OverlapDiagram) -> MultiPoly:
@@ -505,56 +565,31 @@ def diagram_sylvester(A: VarAlphabet, B: VarAlphabet, p: int, q: int) -> Overlap
     fa = FlowerFoam(A, (p, len(A) - p))
     fb = FlowerFoam(B, (q, len(B) - q))
     fx = MaxSurface(VarAlphabet("X", ("x",)))
-    return OverlapDiagram(
-        (("A", fa), ("B", fb), ("X", fx)),
-        (
-            (("A", 0), ("B", 0)),
-            (("A", 1), ("B", 1)),
-            (("X", None), ("A", 0)),
-            (("X", None), ("B", 0)),
-        ),
-    )
+    return OverlapDiagram((("A", fa), ("B", fb), ("X", fx)),
+                          ((("A", 0), ("B", 0)), (("A", 1), ("B", 1)),
+                           (("X", None), ("A", 0)), (("X", None), ("B", 0))))
 
 
 def diagram_product_formula_sides(A: VarAlphabet, X: VarAlphabet, d: int):
     """LHS/RHS diagrams of the interpolation identity for e_(m-d)."""
     m = len(A)
     e_top = esym(slots(m - d), m - d)
-    lhs = OverlapDiagram(
-        (("X", MaxSurface(X, genus=1, dots=(e_top,))),),
-        (),
-    )
+    lhs = OverlapDiagram((("X", MaxSurface(X, genus=1, dots=(e_top,))),))
     fa = FlowerFoam(A, (d, m - d), (None, e_top), flipped_pairs=frozenset({(0, 1)}))
-    rhs = OverlapDiagram(
-        (("X", MaxSurface(X, genus=1)), ("A", fa)),
-        ((("X", None), ("A", 0)),),
-    )
+    rhs = OverlapDiagram((("X", MaxSurface(X, genus=1)), ("A", fa)),
+                         ((("X", None), ("A", 0)),))
     return lhs, rhs
 
 
 def diagram_exchange_sides(A: VarAlphabet, B: VarAlphabet, X: VarAlphabet, d: int):
+    fa = FlowerFoam(A, (d, len(A) - d), flipped_pairs=frozenset({(0, 1)}))
     lhs = OverlapDiagram(
-        (
-            ("A", FlowerFoam(A, (d, len(A) - d), flipped_pairs=frozenset({(0, 1)}))),
-            ("B", MaxSurface(B, genus=1)),
-            ("X", MaxSurface(X, genus=1)),
-        ),
-        (
-            (("X", None), ("A", 0)),
-            (("A", 1), ("B", None)),
-        ),
-    )
+        (("A", fa), ("B", MaxSurface(B, genus=1)), ("X", MaxSurface(X, genus=1))),
+        ((("X", None), ("A", 0)), (("A", 1), ("B", None))))
     rhs = OverlapDiagram(
-        (
-            ("B", FlowerFoam(B, (d, len(B) - d))),
-            ("A", MaxSurface(A, genus=1)),
-            ("X", MaxSurface(X, genus=1)),
-        ),
-        (
-            (("X", None), ("B", 0)),
-            (("A", None), ("B", 1)),
-        ),
-    )
+        (("B", FlowerFoam(B, (d, len(B) - d))), ("A", MaxSurface(A, genus=1)),
+         ("X", MaxSurface(X, genus=1))),
+        ((("X", None), ("B", 0)), (("A", None), ("B", 1))))
     return lhs, rhs
 
 
@@ -562,29 +597,12 @@ def diagram_dksv_sides(A: VarAlphabet, B: VarAlphabet, X: VarAlphabet,
                        E: VarAlphabet, d: int):
     m = len(A)
     lhs = OverlapDiagram(
-        (
-            ("A", FlowerFoam(A, (d, m - d))),
-            ("B", MaxSurface(B)),
-            ("X", MaxSurface(X)),
-        ),
-        (
-            (("A", 1), ("B", None)),
-            (("X", None), ("A", 0)),
-        ),
-    )
+        (("A", FlowerFoam(A, (d, m - d))), ("B", MaxSurface(B)), ("X", MaxSurface(X))),
+        ((("A", 1), ("B", None)), (("X", None), ("A", 0))))
     rhs = OverlapDiagram(
-        (
-            ("E", FlowerFoam(E, (d, m - d, len(E) - m))),
-            ("A", MaxSurface(A)),
-            ("B", MaxSurface(B)),
-            ("X", MaxSurface(X)),
-        ),
-        (
-            (("A", None), ("E", 2)),
-            (("E", 1), ("B", None)),
-            (("X", None), ("E", 0)),
-        ),
-    )
+        (("E", FlowerFoam(E, (d, m - d, len(E) - m))), ("A", MaxSurface(A)),
+         ("B", MaxSurface(B)), ("X", MaxSurface(X))),
+        ((("A", None), ("E", 2)), (("E", 1), ("B", None)), (("X", None), ("E", 0))))
     return lhs, rhs
 
 
@@ -593,82 +611,52 @@ def diagram_dksv_sides(A: VarAlphabet, B: VarAlphabet, X: VarAlphabet,
 
 
 def exchange_sides_terms(A: VarAlphabet, B: VarAlphabet, X: VarAlphabet, d: int):
-    """Term generators for the two sides of the exchange identity."""
-    def lhs():
-        for Ap in itertools.combinations(A.variables, d):
-            Ac = [a for a in A.variables if a not in Ap]
-            lin = r_factors(Ac, B.variables) + r_factors(X.variables, Ap)
-            yield Term((), tuple(lin), tuple(r_factors(Ac, Ap)))
-
-    def rhs():
-        for Bp in itertools.combinations(B.variables, d):
-            Bc = [b for b in B.variables if b not in Bp]
-            lin = r_factors(A.variables, Bc) + r_factors(X.variables, Bp)
-            yield Term((), tuple(lin), tuple(r_factors(Bp, Bc)))
-
+    """The two sides of the exchange identity: R(Ac, B) R(X, Ap) over
+    R(Ac, Ap), A split as (Ac | Ap) with |Ap| = d, and R(A, Bc) R(X, Bp)
+    over R(Bp, Bc), B split as (Bp | Bc) with |Bp| = d."""
+    m, n = len(A), len(B)
+    Ac, Ap = (0, 0), (0, 1)
+    Bp, Bc = (0, 0), (0, 1)
+    lhs = CosetSum(((Ac, B.variables), (X.variables, Ap)), (), ((A.variables, (m - d, d)),))
+    rhs = CosetSum(((A.variables, Bc), (X.variables, Bp)), (), ((B.variables, (d, n - d)),))
     return lhs, rhs
 
 
 def chen_louck_sides(A: VarAlphabet, X: VarAlphabet, d: int, f: MultiPoly):
-    """LHS value and RHS term generator of the interpolation identity."""
-    m = len(A)
-    k = m - d
+    """f(X), and its interpolation f(Ac) R(X, Ap) over R(Ac, Ap), A split
+    as (Ac | Ap) with |Ap| = d."""
+    k = len(A) - d
     if len(X) != k:
         raise FoamValueError(f"need |X| = m - d = {k}, got {len(X)}")
-    for v in f.variables():
+    for v in sorted(f.variables()):
         if f.degree_in(v) > d:
-            raise FoamValueError(
-                f"dot polynomial has degree {f.degree_in(v)} > d = {d} in {v}"
-            )
-    if not set(f.variables()) <= set(slots(k)):
-        raise FoamValueError(f"dot polynomial must use slot variables {slots(k)}")
+            raise FoamValueError(f"dot polynomial has degree {f.degree_in(v)} > d = {d} in {v}")
     if not is_symmetric(f, slots(k)):
         raise FoamValueError("dot polynomial must be symmetric")
-
-    lhs_value = _dot_value(f, X.variables)
-
-    def rhs():
-        for Ap in itertools.combinations(A.variables, d):
-            Ac = [a for a in A.variables if a not in Ap]
-            yield Term(
-                (_dot_value(f, tuple(Ac)),),
-                tuple(r_factors(X.variables, Ap)),
-                tuple(r_factors(Ac, Ap)),
-            )
-
-    return lhs_value, rhs
+    Ac, Ap = (0, 0), (0, 1)
+    rhs = CosetSum(((X.variables, Ap),), ((f, Ac),), ((A.variables, (k, d)),))
+    return _dot_value(f, X.variables), rhs
 
 
 def dksv_sides(A: VarAlphabet, B: VarAlphabet, X: VarAlphabet, E: VarAlphabet,
                d: int):
+    """The three-alphabet partition identity: R(A2, B) R(X, A1) over
+    R(A1, A2), A split as (A1 | A2) with |A1| = d, and
+    R(A, E3) R(E2, B) R(X, E1) over R(E1, E2) R(E1, E3) R(E2, E3), E split
+    as (E1 | E2 | E3) with |E1| = d and |E2| = m - d."""
     m, n = len(A), len(B)
+    if not 0 <= d <= m:
+        raise FoamValueError(f"d = {d} out of range for m = {m}")
     if len(E) < max(len(X) + d, m + n - d, m):
         raise FoamValueError(
             f"|E| = {len(E)} below max(|X|+d, m+n-d, m) = "
             f"{max(len(X) + d, m + n - d, m)}"
         )
-
-    def lhs():
-        for A1 in itertools.combinations(A.variables, d):
-            A2 = [a for a in A.variables if a not in A1]
-            lin = r_factors(A2, B.variables) + r_factors(X.variables, A1)
-            yield Term((), tuple(lin), tuple(r_factors(A1, A2)))
-
-    def rhs():
-        for E1 in itertools.combinations(E.variables, d):
-            rest1 = [e for e in E.variables if e not in E1]
-            for E2 in itertools.combinations(rest1, m - d):
-                E3 = [e for e in rest1 if e not in E2]
-                lin = (
-                    r_factors(A.variables, E3)
-                    + r_factors(E2, B.variables)
-                    + r_factors(X.variables, E1)
-                )
-                den = (
-                    r_factors(E1, E2) + r_factors(E1, E3) + r_factors(E2, E3)
-                )
-                yield Term((), tuple(lin), tuple(den))
-
+    A1, A2 = (0, 0), (0, 1)
+    E1, E2, E3 = (0, 0), (0, 1), (0, 2)
+    lhs = CosetSum(((A2, B.variables), (X.variables, A1)), (), ((A.variables, (d, m - d)),))
+    rhs = CosetSum(((A.variables, E3), (E2, B.variables), (X.variables, E1)), (),
+                   ((E.variables, (d, m - d, len(E) - m)),))
     return lhs, rhs
 
 
@@ -692,20 +680,25 @@ def grid_assignments(variables: Sequence[str], degree: int):
         yield {v: 1 + i * step + i * i * t for i, v in enumerate(vs)}
 
 
-def _check_identity(lhs: Iterable[Term], rhs: Iterable[Term],
-                    delta_alphabets, mode: str) -> bool:
-    """Compare two term sums; the grid runs over the terms' variables."""
+def _grid_agrees(lhs: Iterable[Term], rhs: Iterable[Term], delta_alphabets) -> bool:
+    """Two term sums agree on the grid line over the terms' variables."""
     lhs, rhs = list(lhs), list(rhs)
-    if mode == "symbolic":
-        return (fraction_free_sum(lhs, delta_alphabets)
-                == fraction_free_sum(rhs, delta_alphabets))
-    if mode != "grid":
-        raise FoamValueError(f"unknown mode {mode!r}")
     terms = lhs + rhs
     points = grid_assignments(_collect_variables(terms, delta_alphabets),
                               cleared_degree(terms, delta_alphabets))
     return all(evaluate_terms_at(lhs, pt) == evaluate_terms_at(rhs, pt)
                for pt in points)
+
+
+def _check_identity(lhs, rhs: CosetSum, mode: str) -> bool:
+    """Compare two closed sides; the left one may be a plain polynomial."""
+    if mode == "symbolic":
+        return (lhs if isinstance(lhs, MultiPoly) else lhs.symbolic()) == rhs.symbolic()
+    if mode != "grid":
+        raise FoamValueError(f"unknown mode {mode!r}")
+    if isinstance(lhs, MultiPoly):
+        return _grid_agrees([Term((lhs,), (), ())], rhs.terms(), rhs.alphabets)
+    return _grid_agrees(lhs.terms(), rhs.terms(), lhs.alphabets + rhs.alphabets)
 
 
 def verify_exchange(m: int, n: int, mode: str = "symbolic") -> list:
@@ -714,13 +707,11 @@ def verify_exchange(m: int, n: int, mode: str = "symbolic") -> list:
     The identity fails for larger X-alphabets, so the maximal valid size
     is used; smaller sizes follow by specializing X-variables.
     """
+    A, B = alphabet("A", m), alphabet("B", n)
     report = []
     for d in range(min(m, n) + 1):
-        A = alphabet("A", m)
-        B = alphabet("B", n)
         X = alphabet("X", m + n - 2 * d)
-        lhs, rhs = exchange_sides_terms(A, B, X, d)
-        ok = _check_identity(lhs(), rhs(), [A.variables, B.variables], mode)
+        ok = _check_identity(*exchange_sides_terms(A, B, X, d), mode)
         report.append({"d": d, "size_x": len(X), "ok": ok})
     return report
 
@@ -733,25 +724,18 @@ def verify_chen_louck(m: int, d: int, f: MultiPoly | None = None,
     k = m - d
     if f is None:
         f = esym(slots(k), k)
-    A = alphabet("A", m)
-    X = alphabet("X", k)
-    lhs_value, rhs = chen_louck_sides(A, X, d, f)
-    ok = _check_identity([Term((lhs_value,), (), ())], rhs(), [A.variables], mode)
+    ok = _check_identity(*chen_louck_sides(alphabet("A", m), alphabet("X", k), d, f), mode)
     return {"m": m, "d": d, "ok": ok}
 
 
 def verify_dksv(m: int, n: int, d: int, size_x: int, size_e: int,
                 mode: str = "symbolic") -> dict:
-    A = alphabet("A", m)
-    B = alphabet("B", n)
-    X = alphabet("X", size_x)
-    E = alphabet("E", size_e)
-    lhs, rhs = dksv_sides(A, B, X, E, d)
-    ok = _check_identity(lhs(), rhs(), [A.variables, E.variables], mode)
+    sides = dksv_sides(alphabet("A", m), alphabet("B", n), alphabet("X", size_x),
+                       alphabet("E", size_e), d)
+    ok = _check_identity(*sides, mode)
     return {"m": m, "n": n, "d": d, "size_x": size_x, "size_e": size_e, "ok": ok}
 
 
-def overlap_matches_polynomial(diagram: OverlapDiagram, poly_terms) -> bool:
-    """Grid-mode equality of a diagram's state sum and a term sum."""
-    return _check_identity(overlap_terms(diagram), poly_terms(),
-                           _diagram_deltas(diagram), "grid")
+def overlap_matches_polynomial(diagram: OverlapDiagram, side: CosetSum) -> bool:
+    """Grid-mode equality of a diagram's state sum and a closed side."""
+    return _grid_agrees(overlap_terms(diagram), side(), _diagram_deltas(diagram))

@@ -28,7 +28,7 @@ from foamlib.sylfoam import (
     diagram_sylvester,
     overlap_matches_polynomial,
     sylvester_double_sum,
-    sylvester_terms,
+    sylvester_side,
     verify_chen_louck,
     verify_dksv,
     verify_exchange,
@@ -188,32 +188,34 @@ def test_criterion_4_sylvester_suite():
                     syl = sylvester_double_sum(A, B, p, q)
                     ok = ok and syl.degree_in("x") <= p + q
                     ok = ok and overlap_matches_polynomial(
-                        diagram_sylvester(A, B, p, q),
-                        lambda A=A, B=B, p=p, q=q: sylvester_terms(A, B, p, q),
-                    )
-    # exchange: symbolic proof m, n <= 3; deterministic grids m, n <= 5
-    for m in range(1, 4):
-        for n in range(1, 4):
+                        diagram_sylvester(A, B, p, q), sylvester_side(A, B, p, q))
+    # exchange: symbolic proof m, n <= 4; deterministic grids m, n <= 5
+    for m in range(1, 5):
+        for n in range(1, 5):
             ok = ok and all(e["ok"] for e in verify_exchange(m, n, "symbolic"))
     for m in range(1, 6):
         for n in range(1, 6):
             ok = ok and all(e["ok"] for e in verify_exchange(m, n, "grid"))
-    # Chen-Louck for m <= 5 (default dot e_(m-d)) plus Lagrange cases;
-    # d = 0 forces a constant dot, where the identity is vacuous
+    # Chen-Louck for m <= 5 (default dot e_(m-d)) symbolic, and m = 5 on
+    # the grid too, plus Lagrange cases; d = 0 forces a constant dot, where
+    # the identity is vacuous
     for m in range(1, 6):
         for d in range(1, m + 1):
-            mode = "symbolic" if m <= 4 else "grid"
-            ok = ok and verify_chen_louck(m, d, mode=mode)["ok"]
+            ok = ok and verify_chen_louck(m, d)["ok"]
+    for d in range(1, 6):
+        ok = ok and verify_chen_louck(5, d, mode="grid")["ok"]
     lagrange = MultiPoly.var("s1") * MultiPoly.var("s1") + MultiPoly.const(3)
     ok = ok and verify_chen_louck(3, 2, lagrange)["ok"]
-    # the three-alphabet partition identity for |E| <= 5
+    # the three-alphabet partition identity for |E| <= 5, 123 cases, each
+    # proved symbolically and checked on the grid
     for se in range(2, 6):
         for m in range(1, 4):
             for n in range(1, 4):
                 for d in range(0, m + 1):
                     for sx in (1, 2):
                         if se >= max(sx + d, m + n - d, m):
-                            ok = ok and verify_dksv(m, n, d, sx, se, "grid")["ok"]
+                            for mode in ("symbolic", "grid"):
+                                ok = ok and verify_dksv(m, n, d, sx, se, mode)["ok"]
     _report("4 sylvester suite", ok, 300.0, time.monotonic() - t0)
 
 

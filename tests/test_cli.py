@@ -359,6 +359,34 @@ def test_negative_size_exit_2(capsys):
     assert run(["wreath", "facts", "-n", "-1"]) == 2
 
 
+def test_dksv_d_beyond_m_exit_2(capsys):
+    assert run(["verify", "dksv", "--m", "2", "--n", "1", "--d", "3",
+                "--size-x", "0", "--size-e", "5"]) == 2
+    assert capsys.readouterr().err == "error: d = 3 out of range for m = 2\n"
+
+
+def test_chen_louck_error_is_independent_of_the_hash_seed():
+    # the degree guard walks the dot's variables in sorted order, so every
+    # interpreter names the same one
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    errors = set()
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "foamlib.cli", "verify", "chenlouck", "--m", "4",
+             "--d", "0"], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2, done.stderr
+        errors.add(done.stderr)
+    assert errors == {"error: dot polynomial has degree 1 > d = 0 in s1\n"}
+
+
 @pytest.mark.parametrize("action", ["classes", "oor"])
 def test_wreath_enumeration_beyond_n4_exit_2(action, capsys):
     # G(5) has 2^31 elements; the enumeration is refused, not attempted
@@ -498,7 +526,8 @@ def test_readme_commands_parse():
 
 
 # SHA-256 of the --json stdout of every README command, plus the largest
-# Sylvester sum; taken before MultiPoly moved onto packed keys, and never
+# Sylvester sum; taken before MultiPoly moved onto packed keys (the symbolic
+# `verify dksv` before closed sides became coset sums), and never
 # regenerated, so any change to a report's bytes fails here.
 _README_JSON_DIGESTS = {
     "foamlib tqft eval --surface demos/surfaces/genus2_three_defects.json --both":
@@ -511,6 +540,8 @@ _README_JSON_DIGESTS = {
         "45df758c278ac54be09078ade0f659b828123bfad1ad8883e4e0fb5643204e1e",
     "foamlib verify chenlouck --m 4 --d 2":
         "f639706221714dc1bde670e3164f6eb9cd03d8d7d734f3d915208de234f11f79",
+    "foamlib verify dksv --m 2 --n 2 --d 1 --size-x 1 --size-e 3":
+        "6a4c0d226f306f3d46e4707ff615fffaf0b9ad00c319829b9fc542e78b719072",
     "foamlib verify dksv --m 2 --n 2 --d 1 --size-x 1 --size-e 3 --mode grid":
         "8c3f40af4262e7353c024c26a3ea899e76b9ec5a699cfb72db8147d4dc9620d6",
     'foamlib mf trace --f "x^2-2" --p "x^3"':

@@ -19,6 +19,7 @@ from foamlib.sylfoam import (
     r_product,
     slots,
     sylvester_double_sum,
+    sylvester_side,
     verify_chen_louck,
     verify_dksv,
     verify_exchange,
@@ -93,68 +94,84 @@ def _sylvester_cases():
 
 
 def test_syl_by_divided_differences_is_the_flat_sum():
-    from foamlib.sylfoam import sylvester_terms
-
     for m, n, p, q in _sylvester_cases():
         A, B = alphabet("A", m), alphabet("B", n)
-        flat = fraction_free_sum(sylvester_terms(A, B, p, q), [A.variables, B.variables])
+        flat = fraction_free_sum(sylvester_side(A, B, p, q)(), [A.variables, B.variables])
         assert sylvester_double_sum(A, B, p, q) == flat, (m, n, p, q)
 
 
 def test_syl_base_without_one_r_factor_is_refused():
     # dropping (a1 - b1) from R(Ap, Bp) breaks the symmetry in a1, a2
-    from foamlib.sylfoam import r_factors, symmetrized_sum
+    from foamlib.sylfoam import CosetSum
 
     A, B = alphabet("A", 3), alphabet("B", 3)
-    Ap, Ac, Bp, Bc = A.variables[:2], A.variables[2:], B.variables[:2], B.variables[2:]
-    lin = (r_factors(Ap, Bp) + r_factors(Ac, Bc)
-           + r_factors(["x"], Ap) + r_factors(["x"], Bp))
-    splits = [(A.variables, 2), (B.variables, 2)]
-    assert symmetrized_sum(lin, splits) == sylvester_double_sum(A, B, 2, 2)
-    lin.remove(("a1", "b1"))
+    splits = ((A.variables, (2, 1)), (B.variables, (2, 1)))
+    rest = (((0, 1), (1, 1)), (("x",), (0, 0)), (("x",), (1, 0)))
+    # R(Ap, Bp) written out on the base's own names, which the cosets move
+    whole = tuple(((a,), (b,)) for a in A.variables[:2] for b in B.variables[:2])
+    assert CosetSum(whole + rest, (), splits).symbolic() == sylvester_double_sum(A, B, 2, 2)
     with pytest.raises(FoamValueError, match="not symmetric"):
-        symmetrized_sum(lin, splits)
+        CosetSum(whole[1:] + rest, (), splits).symbolic()
+    # the term walker moves blocks only, so it refuses such names
+    with pytest.raises(FoamValueError, match="outside the split alphabets"):
+        list(CosetSum(whole + rest, (), splits).terms())
 
 
-def _coset_terms(lin, splits):
-    """The flat orbit sum that `symmetrized_sum` computes, as Terms."""
+def _coset_terms(lin, dots, splits):
+    """The flat orbit sum that `CosetSum.symbolic` computes, as Terms: the
+    base factors `lin` and polynomials `dots` moved by every ordered set
+    partition of each split alphabet, over prod_{i<j} R(B_i, B_j)."""
     import itertools
 
-    from foamlib.sylfoam import Term, r_factors
+    from foamlib.sylfoam import Term
 
     choices = []
-    for vs, k in splits:
+    for vs, sizes in splits:
+        ends = list(itertools.accumulate(sizes, initial=0))
         options = []
-        for I in itertools.combinations(vs, k):
-            rest = tuple(v for v in vs if v not in I)
-            options.append((dict(zip(vs, I + rest)), r_factors(I, rest)))
+        for perm in itertools.permutations(vs):
+            blocks = [perm[a:b] for a, b in zip(ends, ends[1:])]
+            if all(list(b) == sorted(b, key=vs.index) for b in blocks):
+                den = [(u, w) for i, bi in enumerate(blocks) for bj in blocks[i + 1:]
+                       for u in bi for w in bj]
+                options.append((dict(zip(vs, perm)), den))
         choices.append(options)
     for combo in itertools.product(*choices):
         sigma = {u: w for image, _ in combo for u, w in image.items()}
-        yield Term((), tuple((sigma.get(u, u), sigma.get(v, v)) for u, v in lin),
+        yield Term(tuple(p.subs_vars(sigma) for p in dots),
+                   tuple((sigma.get(u, u), sigma.get(v, v)) for u, v in lin),
                    tuple(f for _, den in combo for f in den))
 
 
 def test_symmetrized_sum_is_the_coset_sum():
     # a random factor multiset made symmetric in each block by adding the
-    # images of its factors under the block permutations
+    # images of its factors under the block permutations, maybe with a
+    # symmetric dot on a block of two, summed by nested divided differences
     import itertools
 
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
-    from foamlib.sylfoam import symmetrized_sum
+    from foamlib.sylfoam import CosetSum
 
-    layouts = [[(("a1", "a2", "a3"), 1)], [(("a1", "a2", "a3", "a4"), 2)],
-               [(("a1", "a2"), 1), (("b1", "b2", "b3"), 2)],
-               [(("a1", "a2", "a3"), 0), (("b1", "b2"), 1)]]
+    layouts = [[(("a1", "a2", "a3"), (1, 2))], [(("a1", "a2", "a3", "a4"), (2, 2))],
+               [(("a1", "a2"), (1, 1)), (("b1", "b2", "b3"), (2, 1))],
+               [(("a1", "a2", "a3"), (0, 3)), (("b1", "b2"), (1, 1))],
+               [(("a1", "a2", "a3"), (1, 1, 1))],
+               [(("a1", "a2", "a3", "a4"), (1, 2, 1))],
+               [(("a1", "a2", "a3", "a4"), (2, 0, 2))]]
+    dots = [esym(slots(2), 1), esym(slots(2), 2), parse_poly("s1^2 + s2^2 + 3"),
+            parse_poly("s1*s2 - 2*s1 - 2*s2")]
+
+    def blocks(vs, sizes):
+        ends = list(itertools.accumulate(sizes, initial=0))
+        return [vs[a:b] for a, b in zip(ends, ends[1:])]
 
     def block_images(splits):
-        per_split = []
-        for vs, k in splits:
-            per_split.append([dict(zip(vs, left + right))
-                              for left in itertools.permutations(vs[:k])
-                              for right in itertools.permutations(vs[k:])])
+        per_split = [[dict(zip(vs, itertools.chain(*images)))
+                      for images in itertools.product(
+                          *[itertools.permutations(b) for b in blocks(vs, sizes)])]
+                     for vs, sizes in splits]
         return [{u: w for part in combo for u, w in part.items()}
                 for combo in itertools.product(*per_split)]
 
@@ -167,16 +184,101 @@ def test_symmetrized_sum_is_the_coset_sum():
         seeds = draw(st.lists(pair, min_size=1, max_size=2))
         lin = sorted({(sigma.get(u, u), sigma.get(v, v))
                       for u, v in seeds for sigma in block_images(splits)})
-        return lin, splits
+        pairs = [(s, i) for s, (vs, sizes) in enumerate(splits)
+                 for i, k in enumerate(sizes) if k == 2]
+        dot = draw(st.sampled_from([None] + dots)) if pairs else None
+        return lin, ((dot, draw(st.sampled_from(pairs))),) if dot else (), splits
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(cases())
     def check(case):
-        lin, splits = case
-        want = fraction_free_sum(_coset_terms(lin, splits), [vs for vs, _ in splits])
-        assert symmetrized_sum(lin, splits) == want
+        lin, dot_blocks, splits = case
+        on_base = [dot.subs_vars(dict(zip(slots(2), blocks(*splits[s])[i])))
+                   for dot, (s, i) in dot_blocks]
+        want = fraction_free_sum(_coset_terms(lin, on_base, splits), [vs for vs, _ in splits])
+        rprods = tuple(((u,), (v,)) for u, v in lin)
+        assert CosetSum(rprods, dot_blocks, splits).symbolic() == want
 
     check()
+
+
+def _closed_sides():
+    """Every closed side with m, n <= 3 (|E| <= 3 for DKSV), some with
+    m = n = 4, and the Exchange sides with one X-variable too many."""
+    for m, n, p, q in _sylvester_cases():
+        yield sylvester_side(alphabet("A", m), alphabet("B", n), p, q)
+    for m, n, d in [(m, n, d) for m in range(4) for n in range(4)
+                    for d in range(min(m, n) + 1)] + [(4, 4, 0), (4, 4, 3), (4, 4, 4)]:
+        A, B = alphabet("A", m), alphabet("B", n)
+        for extra in (0, 1):
+            yield from exchange_sides_terms(A, B, alphabet("X", m + n - 2 * d + extra), d)
+    for m in range(1, 5):
+        for d in range(1, m + 1):
+            A, X = alphabet("A", m), alphabet("X", m - d)
+            yield chen_louck_sides(A, X, d, esym(slots(m - d), m - d))[1]
+            if m - d == 1 and d >= 2:  # Lagrange interpolation of a quadratic
+                yield chen_louck_sides(A, X, d, parse_poly("s1^2 + 3"))[1]
+    for m, n, d, sx, se in [(m, n, d, sx, se) for se in range(4) for m in range(se + 1)
+                            for n in range(se + 1) for d in range(m + 1)
+                            for sx in range(se + 1)
+                            if se >= max(sx + d, m + n - d, m)] + [(3, 2, 2, 1, 5),
+                                                                   (2, 2, 1, 2, 4)]:
+        yield from dksv_sides(alphabet("A", m), alphabet("B", n), alphabet("X", sx),
+                              alphabet("E", se), d)
+
+
+def test_closed_sides_by_divided_differences_are_their_flat_sums():
+    count = 0
+    for side in _closed_sides():
+        assert side.symbolic() == fraction_free_sum(side(), side.alphabets), side
+        count += 1
+    assert count > 400
+
+
+def test_coset_sum_refuses_bad_splits():
+    from foamlib.sylfoam import CosetSum
+
+    for sizes in [(3, -1), (1, 2), (2,)]:
+        with pytest.raises(FoamValueError, match="no split"):
+            CosetSum((), (), ((("a1", "a2"), sizes),))
+    with pytest.raises(FoamValueError, match="slot variables"):
+        CosetSum((), ((parse_poly("s3"), (0, 0)),), ((("a1", "a2"), (1, 1)),))
+
+
+def test_dksv_base_broken_in_e3_is_refused():
+    # R(A, E3) with E3 = (e3, e4) cut down to R(A, e3)
+    from foamlib.sylfoam import CosetSum
+
+    A, B, X, E = alphabet("A", 2), alphabet("B", 1), alphabet("X", 1), alphabet("E", 4)
+    _, rhs = dksv_sides(A, B, X, E, 1)
+    rest = (((0, 1), B.variables), (X.variables, (0, 0)))
+    splits = ((E.variables, (1, 1, 2)),)
+    assert CosetSum(((A.variables, ("e3", "e4")),) + rest, (), splits).symbolic() \
+        == rhs.symbolic()
+    with pytest.raises(FoamValueError, match="not symmetric in e3 and e4"):
+        CosetSum(((A.variables, ("e3",)),) + rest, (), splits).symbolic()
+
+
+def test_chen_louck_base_with_a_non_symmetric_dot_is_refused():
+    from foamlib.sylfoam import CosetSum
+
+    A, X = alphabet("A", 3), alphabet("X", 2)
+    for dot, ok in [(parse_poly("s1 + s2"), True), (parse_poly("s1 - s2"), False),
+                    (parse_poly("s1*s1 + s2"), False)]:
+        side = CosetSum(((X.variables, (0, 1)),), ((dot, (0, 0)),),
+                        ((A.variables, (2, 1)),))
+        if ok:
+            assert side.symbolic() == dot.subs_vars({"s1": "x1", "s2": "x2"})
+        else:
+            with pytest.raises(FoamValueError, match="not symmetric in a1 and a2"):
+                side.symbolic()
+
+
+def test_exchange_with_one_x_too_many_is_refuted_symbolically():
+    for m, n, d in [(2, 2, 1), (3, 3, 1), (3, 3, 2), (4, 4, 2)]:
+        A, B = alphabet("A", m), alphabet("B", n)
+        lhs, rhs = exchange_sides_terms(A, B, alphabet("X", m + n - 2 * d + 1), d)
+        assert lhs.symbolic() != rhs.symbolic()
 
 
 def test_syl_symmetric_in_each_alphabet():
@@ -383,12 +485,10 @@ def _matches_reference(terms, alphabets):
 def test_fraction_free_sum_matches_reference():
     # the packed-exponent engine against the division-free reference, on
     # term families whose sums genuinely clear their denominators
-    from foamlib.sylfoam import sylvester_terms
-
     for m, n, p, q in [(2, 2, 1, 1), (3, 2, 2, 0), (3, 3, 1, 2)]:
         A, B = alphabet("A", m), alphabet("B", n)
         deltas = [A.variables, B.variables]
-        terms = list(sylvester_terms(A, B, p, q))
+        terms = list(sylvester_side(A, B, p, q)())
         assert _matches_reference(terms, deltas)
         # the reference notices a dropped term
         assert (fraction_free_sum(terms, deltas) * _vandermonde(deltas)
@@ -752,7 +852,7 @@ def test_grid_refutes_identity_that_agrees_at_base_point():
     # which held at every point of a line moving all variables alike
     from fractions import Fraction
 
-    from foamlib.sylfoam import Term, _check_identity
+    from foamlib.sylfoam import Term, _grid_agrees
 
     def lhs():
         yield Term((), (("a2", "a1"), ("a2", "a1")), ())
@@ -761,8 +861,8 @@ def test_grid_refutes_identity_that_agrees_at_base_point():
         yield Term((MultiPoly.const(Fraction(1, 2)),),
                    (("a3", "a1"), ("a2", "a1")), ())
 
-    assert not _check_identity(lhs(), rhs(), [], "grid")
-    assert _check_identity(lhs(), lhs(), [], "grid")
+    assert not _grid_agrees(lhs(), rhs(), [])
+    assert _grid_agrees(lhs(), lhs(), [])
 
 
 def _grid_point_counts(monkeypatch):
