@@ -10,8 +10,9 @@ the total degree in the top field, then the names in order.  Multiplying
 monomials adds keys, and the descending order of the keys is graded lex
 order, the order `render` prints.  No other module knows this layout.
 
-Width rule: w is the narrowest of 8, 16, 32, ... bits holding a bound on
-D, so no exponent reaches into the next field.  A product re-packs wider
+Width rule: w is the bit length of a bound on D (at least 1), so no
+exponent reaches into the next field and a key is no wider than its
+degree needs; `var` and `const` take w = 8.  A product re-packs wider
 when the bound of its result needs it; nothing wraps.  Operands on
 different layouts are re-packed onto the union of the names and the
 wider word, so equality and hashing depend on the terms alone.
@@ -66,10 +67,7 @@ class _Layout:
 
 def packed_layout(names: Iterable[str], degree: int) -> _Layout:
     """The layout over the sorted names for total degrees up to `degree`."""
-    width = 8
-    while degree >> width:
-        width *= 2
-    return _Layout(tuple(sorted(names)), width)
+    return _Layout(tuple(sorted(names)), max(degree.bit_length(), 1))
 
 
 def _move(packed: dict, src: _Layout, dst: _Layout, rename=None) -> dict:
@@ -162,25 +160,33 @@ def _dense_divexact_linear(d: dict, layout: _Layout, u: str, v: str) -> dict:
 
 
 def _dense_divided_difference(d: dict, layout: _Layout, u: str, v: str) -> dict:
-    """(f - s f) / (u - v), s swapping u and v: f - s f in one pass over
-    the keys, then the exact division, which raises on a remainder."""
+    """(f - s f) / (u - v), s swapping u and v, in one pass over the keys
+    of f, which has no zero coefficient.  By the monomial formula, for
+    a > b, (u^a v^b - u^b v^a) / (u - v) is the sum of u^(a-1-i) v^(b+i)
+    for i = 0..a-b-1; for a < b it is minus that of the swapped monomial,
+    and for a = b it is 0.  f - s f vanishes at u = v, so the quotient is
+    exact monomial by monomial and there is no remainder to check."""
     su, sv, mask = layout.shift[u], layout.shift[v], layout.mask
-    step = (1 << su) - (1 << sv)
-    diff = {}
-    get = d.get
+    step = (1 << su) - (1 << sv)  # one unit from the v field to the u field
+    bu = layout.unit[u]
+    out: dict[int, object] = {}
+    get = out.get
     for k, c in d.items():
-        # moving e_v - e_u from the v field to the u field swaps the two;
-        # a key fixed by s cancels
-        t = ((k >> sv) & mask) - ((k >> su) & mask)
-        if t:
-            sk = k + t * step
-            c2 = get(sk)
-            if c2 is None:  # s k is not a key of f: both entries are set here
-                diff[k] = c
-                diff[sk] = -c
-            elif c != c2:  # s k is a key of f: its own visit sets its entry
-                diff[k] = c - c2
-    return _dense_divexact_linear(diff, layout, u, v)
+        t = ((k >> su) & mask) - ((k >> sv) & mask)  # a - b
+        if t < 0:  # swap the two fields and negate
+            k -= t * step
+            c, t = -c, -t
+        elif not t:
+            continue
+        k -= bu  # u^(a-1) v^b, then one unit moves from u to v per output
+        for _ in range(t):
+            c2 = get(k, 0) + c
+            if c2:
+                out[k] = c2
+            else:
+                del out[k]
+            k -= step
+    return out
 
 
 class _Terms(Mapping):

@@ -179,7 +179,7 @@ def fraction_free_sum(terms: Iterable[Term],
     for term in terms:
         den = {frozenset(f) for f in term.den}
         sign = (-1) ** sum(f != lcm[frozenset(f)] for f in term.den)
-        cur = MultiPoly.const(sign).packed_on(layout)
+        cur = {0: sign}  # the constant +-1, on any layout
         for key, (u, v) in lcm.items():
             if key not in den:
                 cur = _dense_mul_linear(cur, layout, u, v)
@@ -342,7 +342,10 @@ class CosetSum:
         skipped; the first chain certifies both.  A split with one
         nonempty block is one coset and needs no certificate.
 
-        Each step divides by its own v_j - v_(j+1) only, so nothing swells.
+        Each step is one pass of the monomial formula in v_j and v_(j+1)
+        only (`_dense_divided_difference`), so nothing swells.  g - s_j g
+        always vanishes at v_j = v_(j+1), so a step has no remainder to
+        check; the symmetry certificate is what makes the chain the sum.
         A factor or dot is multiplied in just before the first step that
         moves one of its variables (d_j treats a factor free of v_j and
         v_(j+1) as a constant); the rest are multiplied in last.

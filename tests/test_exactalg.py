@@ -341,7 +341,7 @@ def _ref_eval(p, point):
 
 
 _PACK_NAMES = ["a", "a1", "a10", "a2", "b", "x"]
-# 8-bit words at first; sums of 200 and 256 upward need 16 bits
+# words of 1 to 8 bits at first; sums of 256 upward need 9 or 10 bits
 _PACK_EXPONENTS = [1, 2, 3, 11, 127, 200, 255, 256, 300]
 _packed_monomials = st.dictionaries(
     st.sampled_from(_PACK_NAMES), st.sampled_from(_PACK_EXPONENTS), max_size=3,
@@ -391,12 +391,18 @@ def test_packed_multipoly_matches_the_tuple_reference(p, q, e, c, mapping, value
 
 def test_products_that_cross_a_word_repack_wider():
     x, y = MultiPoly.var("x"), MultiPoly.var("y")
+    # the word is as wide as the degree bound needs: 31 fits 5 bits, 32 needs 6
+    n = MultiPoly({(("x", 16),): 1, (("y", 1),): 1})
+    assert n.layout.width == 5
+    sq = n * n
+    assert sq.layout.width == 6
+    assert sq.terms == {(("x", 32),): 1, (("x", 16), ("y", 1)): 2, (("y", 2),): 1}
     p = x ** 200 * y
     assert p.layout.width == 8
     q = p * x ** 100
-    assert q.layout.width == 16 and q.terms == {(("x", 300), ("y", 1)): 1}
+    assert q.layout.width == 9 and q.terms == {(("x", 300), ("y", 1)): 1}
     r = (x ** 40000) * (x ** 30000 + y)
-    assert r.layout.width == 32
+    assert r.layout.width == 17
     assert r.terms == {(("x", 70000),): 1, (("x", 40000), ("y", 1)): 1}
     assert r.degree_in("x") == 70000 and r.total_degree() == 70000
     # the dots of the overlap regression, s1^127 s1^127 s1^5
@@ -409,10 +415,10 @@ def test_equal_polys_on_other_layouts_compare_and_hash_equal():
     a, b, c = MultiPoly.var("a"), MultiPoly.var("b"), MultiPoly.var("c")
     p = a * a + b
     wider_names = (p + c) - c  # c is in the name tuple, unused
-    wider_words = (p + a ** 300) - a ** 300  # 16-bit words
+    wider_words = (p + a ** 300) - a ** 300  # 9-bit words
     assert (p.layout.names, p.layout.width) == (("a", "b"), 8)
     assert (wider_names.layout.names, wider_names.layout.width) == (("a", "b", "c"), 8)
-    assert (wider_words.layout.names, wider_words.layout.width) == (("a", "b"), 16)
+    assert (wider_words.layout.names, wider_words.layout.width) == (("a", "b"), 9)
     for other in (wider_names, wider_words, parse_poly("b + a^2")):
         assert other == p and p == other
         assert hash(other) == hash(p)
@@ -440,7 +446,7 @@ def test_packed_on_takes_a_layout_that_holds_the_names_used():
     with pytest.raises(ValueError):
         p.packed_on(packed_layout(["a"], 2))  # b is used
     with pytest.raises(ValueError):
-        (a ** 300).packed_on(packed_layout(["a"], 255))  # 300 needs 16 bits
+        (a ** 300).packed_on(packed_layout(["a"], 255))  # 300 needs 9 bits
 
 
 def test_terms_is_a_read_only_view():

@@ -100,6 +100,24 @@ def test_syl_by_divided_differences_is_the_flat_sum():
         assert sylvester_double_sum(A, B, p, q) == flat, (m, n, p, q)
 
 
+# sha256 of sylvester_double_sum(A4, B4, p, q).render(): the longest
+# divided-difference chains short of Syl_{4,4}^{4,4}, pinned to the text
+# that the synthetic division of f - s f by (u - v) gave step by step
+_SYL_4_4_RENDER_DIGESTS = {
+    (4, 3): "fb5a49fb27e9439099877f81c723a18ed1d86e4c2dee96fb4cb17f9acd9dffe6",
+    (3, 4): "0ae87d6962a0bad9efaea1aab49ab16b6a36e6b5af22d1a013ff8e9109c031cf",
+    (3, 3): "6fefbfe1e1991bb9591e303b4940d1f2cb0c294ba75d5b1ca190078aa8dd2813",
+}
+
+
+@pytest.mark.parametrize("p, q", sorted(_SYL_4_4_RENDER_DIGESTS))
+def test_sylvester_renders_at_m_n_4_are_pinned(p, q):
+    import hashlib
+
+    render = sylvester_double_sum(alphabet("A", 4), alphabet("B", 4), p, q).render()
+    assert hashlib.sha256(render.encode()).hexdigest() == _SYL_4_4_RENDER_DIGESTS[p, q]
+
+
 def test_syl_base_without_one_r_factor_is_refused():
     # dropping (a1 - b1) from R(Ap, Bp) breaks the symmetry in a1, a2
     from foamlib.sylfoam import CosetSum
@@ -767,7 +785,38 @@ def test_dense_divided_difference_of_a_symmetric_f_is_zero():
     check()
 
 
-@pytest.mark.parametrize("width, exponents", [(8, range(4)), (16, (0, 1, 2, 259))])
+@pytest.mark.parametrize("degree, width, exponents", [
+    (12, 4, (0, 1, 2, 4)), (200, 8, (0, 1, 3, 60)), (40000, 16, (0, 1, 2, 259, 300))])
+def test_dense_divided_difference_is_the_division_of_f_minus_swapped_f(degree, width,
+                                                                       exponents):
+    # the one-pass monomial formula against the division route: the exact
+    # synthetic division of f - s f by (u - v), on words of 4, 8 and 16
+    # bits, with exponents beyond a byte and gaps a - b well above 1
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from foamlib.exactalg.multipoly import (_dense_divexact_linear,
+                                            _dense_divided_difference, packed_layout)
+
+    layout = packed_layout(_PACKED_NAMES, degree)
+    assert layout.width == width
+
+    @settings(max_examples=60, deadline=None)
+    @given(_packed_polys(exponents), _linear_factors(), st.booleans())
+    def check(f, uv, symmetrize):
+        u, v = uv
+        if symmetrize:  # f - s f is then empty
+            f = f + _swapped(f, u, v)
+        got = _dense_divided_difference(f.packed_on(layout), layout, u, v)
+        diff = (f - _swapped(f, u, v)).packed_on(layout)
+        assert got == _dense_divexact_linear(diff, layout, u, v)
+        assert all(got.values())
+        assert bool(got) == bool(diff)
+
+    check()
+
+
+@pytest.mark.parametrize("width, exponents", [(4, range(4)), (10, (0, 1, 2, 259))])
 def test_from_dense_is_the_term_by_term_poly(width, exponents):
     # a packed sum is wrapped as it is, with no decode: it reads back,
     # through the terms view, as the polynomial of its monomials
@@ -797,10 +846,14 @@ def test_from_dense_reads_an_exponent_beyond_a_byte():
 
     layout = packed_layout(["a", "b"], 259)
     got = MultiPoly.from_packed(layout, {layout.key((("b", 259),)): 2})
-    assert layout.width == 16
+    assert layout.width == 9
     assert got.terms == {(("b", 259),): 2}
     assert got.render() == "2*b^259"
     assert (got.degree_in("b"), got.degree_in("a"), got.variables()) == (259, 0, {"b"})
+    # 518 crosses the 9-bit word: the square re-packs to 10 bits, no wrap
+    square = got * got
+    assert square.layout.width == 10
+    assert square.terms == {(("b", 518),): 4} and square.degree_in("a") == 0
 
 
 # --------------------------------------- diagram families at larger sizes
