@@ -191,8 +191,8 @@ def cmd_wreath(args, report: RunReport):
         ep = wreathrep.epm_idempotent_check(args.n)
         report.add("e_pm idempotent relations", ep["ok"])
     elif args.action == "classes":
-        classes = wreathrep.conjugacy_classes(args.n)
-        report.add(f"conjugacy classes of G_{args.n}", True, str(len(classes)))
+        report.add(f"conjugacy classes of G_{args.n}", True,
+                   str(wreathrep.class_count(args.n)))
     elif args.action == "d4-table":
         rep = wreathrep.d4_table_check(seed=args.seed)
         for key in ("classes_ok", "orthogonality_ok", "sum_of_squares_ok",
@@ -419,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mf.add_argument("action", choices=["trace", "hessian", "backend"])
     p_mf.add_argument("--f", required=True, help="monic squarefree f = w'")
     p_mf.add_argument("--p", help="polynomial to trace")
-    p_mf.add_argument("--trials", type=int, default=10)
+    p_mf.add_argument("--trials", type=_size, default=10)
     p_mf.add_argument("--char", type=int, default=0,
                       help="ground characteristic (0 for QQ)")
 

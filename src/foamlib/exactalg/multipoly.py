@@ -389,22 +389,39 @@ class MultiPoly:
     # -- printing --------------------------------------------------------
 
     def render(self) -> str:
+        """The terms in graded lex order.  Each factor string `v` or `v^e`
+        is built once per call, keyed by its field of the packed key as
+        `eval` keys its powers."""
         if not self.packed:
             return "0"
-        monomial = self.layout.monomial
-        parts = []
-        for k in sorted(self.packed, reverse=True):  # graded lex
-            c = self.packed[k]
-            body = "*".join([v if e == 1 else f"{v}^{e}" for v, e in monomial(k)])
-            if not body:
-                body = str(abs(c))
-            elif abs(c) != 1:
-                body = f"{abs(c)}*{body}"
-            if not parts:
-                parts.append(("-" if c < 0 else "") + body)
+        fields, packed = self.layout.fields, self.packed
+        factors: dict[int, str] = {}
+        get = factors.get
+        out = []  # " + " or " - ", then the term; the first sign is fixed at the end
+        for k in sorted(packed, reverse=True):  # graded lex
+            c = packed[k]
+            if c < 0:
+                out.append(" - ")
+                c = -c
             else:
-                parts.append(("- " if c < 0 else "+ ") + body)
-        return " ".join(parts)
+                out.append(" + ")
+            body = []
+            for nm, fm, s in fields:
+                f = k & fm
+                if f:
+                    text = get(f)
+                    if text is None:
+                        e = f >> s
+                        text = factors[f] = nm if e == 1 else f"{nm}^{e}"
+                    body.append(text)
+            if not body:
+                out.append(str(c))
+            else:
+                if c != 1:
+                    out.append(f"{c}*")
+                out.append("*".join(body))
+        text = "".join(out)
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
     def __repr__(self):
         return f"MultiPoly({self.render()})"

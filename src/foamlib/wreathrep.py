@@ -19,18 +19,28 @@ block (a shifted onto the second half) followed by b.  The result is
 cached per n, so the whole-group passes (conjugacy classes, the center,
 the coset split, the H x H orbits) share one enumeration and work over
 element indices: a table per generator maps each index to the index of
-its conjugate (or product), and orbits are refined over those tables.
+its conjugate (or product), and orbits are walked over those tables.
 The generating set they use is beta on the leftmost block of each depth,
 n involutions for G(n); doubled onto both halves it gives the 2(n-1)
-generators of H = G(n-1) x G(n-1).  Class counts are always counted as
-orbits of the enumerated group, never read off the recursion.
+generators of H = G(n-1) x G(n-1).
 
 The tables are not read off composed permutations.  An index of G(n)
 spells out its element as beta^r o (a x b) with a, b in G(n-1), so the
-multiplication tables of G(n) follow from those of G(n-1) by index
-arithmetic (the rules are stated above `_lift`).  They are arrays of
-machine integers; the multiplication tables are kept only for the levels
-below the one being built, the conjugation tables per n.
+tables of G(n) follow from those of G(n-1) by index arithmetic (the
+rules are stated above `_lift`): each one is a single list comprehension
+of index sums, stored as an array of machine integers.  A conjugation
+table is one such lift of G(n-1)'s conjugation and multiplication
+tables, not a left table composed with a right one.  The multiplication
+tables are kept only for the levels below the one being built, the
+conjugation tables per n.
+
+What is counted: the center is the set of indices that every
+conjugation table fixes, filtered one table at a time; `class_count`
+counts the conjugation orbits of all of G(n) as the walk meets them,
+while `conjugacy_classes` also lists and sorts each class; the Mackey
+check walks the H x H orbits over the left and right tables of H's
+generators.  Class counts are always counted as orbits of the
+enumerated group, never read off the recursion.
 
 The dihedral character data for G(2) lives here as an explicit table and
 is verified (orthogonality, restriction to the permutation module, the
@@ -201,7 +211,7 @@ def generators(n: int) -> list[tuple]:
 
 def _lift(images) -> array:
     """The table sending r*M^2 + i*M + j to hi[i] + lo[j], (hi, lo) = images[r]."""
-    return array("l", (a + b for hi, lo in images for a in hi for b in lo))
+    return array("l", [a + b for hi, lo in images for a in hi for b in lo])
 
 
 def _block(M: int, f, g) -> tuple[array, array]:
@@ -235,9 +245,22 @@ def _lower_generator_tables(n: int) -> tuple[tuple[array, array], ...]:
 
 @functools.cache
 def _conjugation_tables(n: int) -> tuple[array, ...]:
-    """Per generator s (an involution): index i -> index of s G(n)[i] s."""
-    return tuple(array("l", map(left.__getitem__, right))
-                 for left, right in _generator_tables(n))
+    """Per generator s (an involution): index i -> index of s G(n)[i] s.
+
+    beta swaps the factors, (r, i, j) -> (r, j, i); a generator f x 1 of
+    the first half conjugates a x b to f a f x b and beta o (a x b) to
+    beta o (a f x f b), so each table is one lift of tables of G(n-1)."""
+    if n == 0:
+        return ()
+    M = len(_elements(n - 1))
+    ids, rows = range(M), [i * M for i in range(M)]
+    top = M * M
+    tables = [_lift([(ids, rows), ([top + i for i in ids], rows)])]
+    for (fl, fr), fc in zip(_lower_generator_tables(n - 1),
+                            _conjugation_tables(n - 1)):
+        tables.append(_lift([([x * M for x in fc], ids),
+                             ([top + x * M for x in fr], fl)]))
+    return tuple(tables)
 
 
 def _mackey_tables(n: int) -> list[array]:
@@ -250,21 +273,21 @@ def _mackey_tables(n: int) -> list[array]:
     return [left for left, _ in blocks] + [right for _, right in blocks]
 
 
-def _orbits(tables, size: int, starts) -> list[array]:
+def _orbits(tables, size: int, starts) -> list[list[int]]:
     """The orbits, under the maps the index tables hold, of the indices in
     `starts`, each listed once in the order its first start is met."""
-    seen = bytearray(size)
+    seen = [False] * size  # a list: it subscripts faster than a bytearray
     out = []
     for i in starts:
         if seen[i]:
             continue
-        seen[i] = 1
-        orbit = array("l", [i])  # grows while it is walked
+        seen[i] = True
+        orbit = [i]  # grows while it is walked
         for j in orbit:
             for t in tables:
                 k = t[j]
                 if not seen[k]:
-                    seen[k] = 1
+                    seen[k] = True
                     orbit.append(k)
         out.append(orbit)
     return out
@@ -302,11 +325,13 @@ def group_facts(n: int) -> dict:
     report["order_ok"] = report["order"] == report["order_expected"] == len(elems)
 
     cn = center_element(n)
-    # the centralizer of a generating set is the center
-    conj = _conjugation_tables(n)
-    center = [g for i, g in enumerate(elems) if all(t[i] == i for t in conj)]
+    # the centralizer of a generating set is the center: the indices that
+    # every conjugation table fixes, filtered one table at a time
+    fixed = range(len(elems))
+    for t in _conjugation_tables(n):
+        fixed = [i for i in fixed if t[i] == i]
     ident = p_identity(2**n)
-    report["center"] = sorted(center)
+    report["center"] = sorted(elems[i] for i in fixed)
     report["center_ok"] = report["center"] == sorted([ident, cn])
 
     # coset decomposition along the index-two subgroup H (it keeps the
@@ -316,8 +341,8 @@ def group_facts(n: int) -> dict:
     h_index = [i for i, g in enumerate(elems) if g[0] < half]
     beta_left, beta_right = next(_generator_tables(n))
     report["coset_ok"] = (
-        {beta_right[i] for i in h_index}
-        == {beta_left[i] for i in h_index}
+        set(map(beta_right.__getitem__, h_index))
+        == set(map(beta_left.__getitem__, h_index))
         == set(range(len(elems) // 2, len(elems)))
     )
 
@@ -492,14 +517,27 @@ def epm_idempotent_check(n: int) -> dict:
 # Conjugacy classes
 
 
+def _class_orbits(n: int) -> list[list[int]]:
+    """The conjugation orbits of G(n), as index lists, in wreath order."""
+    if n > 4:
+        raise ValueError("full enumeration is desk-scale only (n <= 4)")
+    size = len(_elements(n))
+    return _orbits(_conjugation_tables(n), size, range(size))
+
+
 def conjugacy_classes(n: int) -> list[list[tuple]]:
     """Orbits of G(n) under conjugation by the generators, refined over
     element indices; each class is sorted, classes in wreath order."""
-    if n > 4:
-        raise ValueError("full enumeration is desk-scale only (n <= 4)")
+    orbits = _class_orbits(n)  # refuses n > 4 before anything is built
     elems = _elements(n)
-    return [sorted(elems[i] for i in orbit)
-            for orbit in _orbits(_conjugation_tables(n), len(elems), range(len(elems)))]
+    return [sorted(elems[i] for i in orbit) for orbit in orbits]
+
+
+def class_count(n: int) -> int:
+    """The number of conjugacy classes of G(n): the conjugation orbits of
+    the whole enumerated group, counted as walked; no class is sorted or
+    turned back into permutations."""
+    return len(_class_orbits(n))
 
 
 # ---------------------------------------------------------------------------
@@ -684,5 +722,5 @@ def oor_irrep_count(n: int) -> int:
 
 def oor_count_cross_check(n: int) -> dict:
     trees = oor_irrep_count(n)
-    classes = len(conjugacy_classes(n))
+    classes = class_count(n)
     return {"tree_count": trees, "class_count": classes, "ok": trees == classes}

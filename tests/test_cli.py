@@ -325,6 +325,11 @@ def test_mf_trace_without_p_exit_2(capsys):
     assert "--p" in capsys.readouterr().err
 
 
+def test_mf_hessian_negative_trials_exit_2(capsys):
+    assert run(["mf", "hessian", "--f", "x^3-x-1", "--trials", "-1"]) == 2
+    assert "--trials" in capsys.readouterr().err
+
+
 def test_web_decompose_without_f_exit_2(capsys):
     assert run(["web", "decompose", "--p", "2", "--parts", "1,1,1"]) == 2
     assert "--f" in capsys.readouterr().err
@@ -587,6 +592,34 @@ def test_readme_commands_json_is_byte_identical(monkeypatch, capsys):
         assert run(["--json"] + shlex.split(line)[1:]) == 0, line
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == _README_JSON_DIGESTS[line], line
+
+
+# sha256 of the --json stdout of the whole-group wreath passes and of
+# `suite full`, taken before the passes were rewritten; `wreath facts -n 3`,
+# `wreath d4-table` and `suite smoke` are pinned with the README commands
+_WREATH_JSON_DIGESTS = {
+    "wreath facts -n 1": "26f359c462a7fca5f7cdf853133502274d6b031ff2f8e9fb037c10fc74b9523c",
+    "wreath facts -n 2": "7a37249030ef2372832d17c2454dae463ed495e27667fe4b6956dfe525398175",
+    "wreath facts -n 4": "d0efc6d02e65e0b737020ed4beb2ef5ad73d9c478ad1cad91d32e428b844084b",
+    "wreath classes -n 1": "cd64f5b5fd73ac2cd07b495fa02cb124a1426f2627559a1b697515da1265f4cc",
+    "wreath classes -n 2": "7c3a812a35a1763f32d234180da5e7dfb11ead66272762e9ec42135ab683a672",
+    "wreath classes -n 3": "c123e658bf5f1cb6d6c488039c660dc8b54d75b83decf86492d43dee7664b1de",
+    "wreath classes -n 4": "f1f5ef692dc46779205c7a13b507562d21cad4a2b3c3abd460134eb158b12ec2",
+    "wreath oor -n 1": "97480fbee3f7a89fe537cb5463852605e55524cdb20cca8e1f0b121eb37bc7c6",
+    "wreath oor -n 2": "ed856e5e41c5e2f0c4aeccd5b4b212c4431acaba832817f4dae8e0edafb5eed4",
+    "wreath oor -n 3": "a19ddf2d89555440bf1d0236640a47632b9e462ee1c7c6eb5620ea6e135ed260",
+    "wreath oor -n 4": "b25821928b19edad192b6bc56d0fa839a94a524650c102fa57035050a8734da5",
+    "suite full": "5bb353688f6911c7790964972d8492055b06afe75f5e696333b27e20d4561299",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_WREATH_JSON_DIGESTS))
+def test_wreath_and_suite_json_is_pinned(command, capsys):
+    import hashlib
+
+    assert run(["--json"] + command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _WREATH_JSON_DIGESTS[command]
 
 
 def test_zero_denominator_in_polynomial_exit_2(capsys):

@@ -10,6 +10,7 @@ from foamlib.wreathrep import (
     all_elements,
     center_element,
     central_element_checks,
+    class_count,
     conjugacy_classes,
     cycle_string,
     d4_table_check,
@@ -224,6 +225,18 @@ def test_oor_matches_class_count_n4():
 
 def test_class_counts_small():
     assert [len(conjugacy_classes(n)) for n in (1, 2, 3)] == [2, 5, 20]
+
+
+def test_class_count_is_the_number_of_listed_classes():
+    counts = [class_count(n) for n in (1, 2, 3, 4)]
+    assert counts == [len(conjugacy_classes(n)) for n in (1, 2, 3, 4)]
+    assert counts == [2, 5, 20, 230]
+
+
+@pytest.mark.parametrize("count", [class_count, conjugacy_classes])
+def test_class_passes_refuse_past_n_4(count):
+    with pytest.raises(ValueError, match="n <= 4"):
+        count(5)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
