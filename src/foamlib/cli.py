@@ -377,10 +377,21 @@ def _size(text: str) -> int:
 _NEEDED = {("mf", "trace"): "p", ("web", "decompose"): "f"}
 
 
+# Options that only some verify identities read: option -> (its default,
+# the identities that read it).  Any other value elsewhere is refused.
+_READ_BY = {"p": (None, ("sylvester",)), "q": (None, ("sylvester",)),
+            "f": (None, ("chenlouck",)),
+            "mode": ("symbolic", ("exchange", "chenlouck", "dksv"))}
+
+
 def _check_needed(ap: argparse.ArgumentParser, args) -> None:
     need = _NEEDED.get((args.command, getattr(args, "action", None)))
     if need is not None and getattr(args, need) is None:
         ap.error(f"{args.command} {args.action} needs --{need}")
+    if args.command == "verify":
+        for option, (default, readers) in _READ_BY.items():
+            if args.identity not in readers and getattr(args, option) != default:
+                ap.error(f"verify {args.identity} does not read --{option}")
 
 
 def build_parser() -> argparse.ArgumentParser:

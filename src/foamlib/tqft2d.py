@@ -26,16 +26,15 @@ sum_i eps(x_i sigma(y_i)), the trace of sigma.
 
 It glues back what the cut allows before any sum is taken.  A self-seam
 folds into its facet as sum_i ins0_i * ins1_i.  A composite facet absorbs
-a neighbour h through a seam with the map psi(z) = sum_i eps_h(z * I_b[i])
-* I_a[i] (I_a, I_b the insertion lists of the composite and of h on that
-seam): psi is the identity across a plain seam, sigma or its inverse
-across a defect and the inclusion from a lower facet, all ring maps, so
-it multiplies h's element in and carries h's other circles over.  The one
-case that cannot fold is h on the upper side of an inclusion seam: psi is
-then the relative trace, which is not multiplicative, so h is absorbed
-only as a cap (that seam its last open circle).  The seams left between
-composites go through one state sum over their multi-indices, the same
-loop that, run on the unfolded facets, is the tests' oracle.
+a neighbour h through a seam by the map a dot takes across it: the
+identity across a plain seam, sigma or its inverse across a defect and
+the inclusion from a lower facet, all ring maps, so it multiplies h's
+element in and carries h's other circles over.  The one case that cannot
+fold is h on the upper side of an inclusion seam: the map is then the
+relative trace, which is not multiplicative, so h is absorbed only as a
+cap (that seam its last open circle).  The seams left between composites
+go through one state sum over their multi-indices, the same loop that,
+run on the unfolded facets, is the tests' oracle.
 
 evaluate_coloring is the independent spectral route for separable tower
 backends: a coloring assigns to each facet an embedding of its level into
@@ -204,27 +203,29 @@ def evaluate_neck(s: DecoratedSurface, dual_pairs=None):
     element (dots and genus handles) and one insertion list per boundary
     circle.  A self-seam folds into the element as sum_i ins0_i * ins1_i.
     Then each piece grows into a composite by absorbing a neighbour h
-    through a seam whose insertion lists are I_a on the composite and I_b
-    on h, with the map
-
-      psi(z) = sum_i eps_h(z * I_b[i]) * I_a[i].
+    through a seam, with the map psi that a dot takes from h into the
+    composite: the seam's own map to the facet at its other end (the
+    identity across a plain seam; sigma from a defect's target and its
+    inverse from the source; the inclusion from the lower side of an
+    inclusion seam), followed by the map that carried that facet's circle
+    into the composite.
 
     psi(h's element) multiplies into the composite and psi carries h's
     other insertion lists over, so a seam with both ends in the composite
-    folds like a self-seam.  psi is the identity on a plain seam, sigma or
-    its inverse on a defect, and the inclusion when h is the lower side of
-    an inclusion seam: ring maps, so the product of h's insertions is
-    carried factor by factor.  When h is the upper side of an inclusion
-    seam, psi is the relative trace, and h is absorbed only when that seam
-    is its last open end (a cap).  Every facet is tried as the start, the
-    largest composite is kept, and the rest grow the same way.  Seams
-    between composites are left to the state sum _state_sum, which tests
-    also run on the unfolded pieces of _cut as the oracle.
+    folds like a self-seam.  Apart from a cap, psi is a ring map, so the
+    product of h's insertions is carried factor by factor.  When h is the
+    upper side of an inclusion seam, psi is the relative trace, and h is
+    absorbed only when that seam is its last open end (a cap).  Every
+    facet is tried as the start, the largest composite is kept, and the
+    rest grow the same way.  Seams between composites are left to the
+    state sum _state_sum, which tests also run on the unfolded pieces of
+    _cut as the oracle.
 
     dual_pairs optionally overrides the dual pair used per level
-    ({level: DualBasisPair}) so basis-independence can be tested; the
-    override applies to seam insertions (handle elements are dual-pair
-    independent regardless).
+    ({level: DualBasisPair}) so basis-independence can be tested.  Only
+    the insertion lists read it: the ones a self-seam folds and the ones
+    the state sum contracts.  Absorbing a neighbour reads no dual pair,
+    and handle elements are independent of the pair.
     """
     be, pieces = _cut(s, dual_pairs)
     return _state_sum(be, _fold(be, pieces, s))
@@ -335,33 +336,60 @@ def _fold(be, pieces, s: DecoratedSurface):
     while left:
         start, order = max(((k, closure(k, left)) for k in sorted(left)),
                            key=lambda plan: len(plan[1]))
-        out.append(_absorb(be, folded, start, order))
+        out.append(_absorb(be, folded, start, order, s.seams, sides))
         left -= {start, *(h for h, _ in order)}
     return out
 
 
-def _absorb(be, folded, start, order):
-    """The composite of folded[start] and the pieces absorbed in order."""
+def _absorb(be, folded, start, order, seams, sides):
+    """The composite of folded[start] and the pieces absorbed in order.
+
+    h crosses seam i by its _seam_map, then by the map carried[i] that
+    brought the composite's end of i in (none for the start's own ends);
+    h's other ends are carried in by that composite.
+    """
     level, elem, ends = folded[start]
     open_ends = dict(ends)
-    ground = be.ground
-    for h, seam in order:
-        h_level, h_elem, h_ends = folded[h]
-        pairs = list(zip(open_ends.pop(seam), h_ends[seam]))
-
-        def psi(z):
-            acc = be.zero(level)
-            for a, b in pairs:
-                c = be.trace_to_ground(h_level, be.mul(h_level, z, b))
-                if not ground.is_zero(c):
-                    acc = be.add(level, acc, be.scalar_mul(level, c, a))
-            return acc
-
-        elem = be.mul(level, elem, psi(h_elem))
-        for i, lst in h_ends.items():
-            if i != seam:
-                elem = _join(be, level, elem, open_ends, i, [psi(z) for z in lst])
+    carried = {}
+    for h, i in order:
+        _, h_elem, h_ends = folded[h]
+        del open_ends[i]
+        lo, hi = sides[i]
+        psi = _then(_seam_map(be, seams[i], h == hi, folded[lo][0], folded[hi][0]),
+                    carried.pop(i, None))
+        elem = be.mul(level, elem, psi(h_elem) if psi else h_elem)
+        for j, lst in h_ends.items():
+            if j != i:
+                if psi:
+                    lst = [psi(z) for z in lst]
+                    carried[j] = psi
+                elem = _join(be, level, elem, open_ends, j, lst)
     return level, elem, list(open_ends.items())
+
+
+def _seam_map(be, seam, upper, lo_level, hi_level):
+    """The map a dot takes across seam from end1 (if upper, else end0) to
+    the other end; None for the identity.
+
+    It is the contraction sum_i eps(z * I_b[i]) * I_a[i] of the seam's
+    insertion lists, worked out: a dual pair contracts to the identity,
+    sigma preserves eps, and eps_K = eps_F o tr_K/F.
+    """
+    if seam.kind == "plain":
+        return None
+    if seam.kind == "defect":
+        sigma = seam.sigma if upper else seam.sigma.inverse()
+        return None if sigma.is_identity() else sigma
+    if upper:
+        return lambda z: be.relative_trace(z, hi_level, lo_level)
+    return lambda z: be.include(z, lo_level, hi_level)
+
+
+def _then(first, then):
+    """then after first, where None is the identity."""
+    if first is None or then is None:
+        return first or then
+    return lambda z: then(first(z))
 
 
 def _join(be, level, elem, open_ends, i, lst):
@@ -376,7 +404,11 @@ def _join(be, level, elem, open_ends, i, lst):
 
 
 class _with_dual_override:
-    """Proxy that substitutes fixed dual pairs for chosen levels."""
+    """Proxy that substitutes fixed dual pairs for chosen levels.
+
+    Only _seam_insertions asks it for dual pairs, so the override reaches
+    the self-seam folds and the state sum, not the seam maps of _absorb.
+    """
 
     def __init__(self, backend, pairs):
         self._backend = backend

@@ -149,12 +149,21 @@ def q_factorial(m: int) -> LaurentQ:
 
 
 def q_multinomial(N: int, parts) -> LaurentQ:
-    """Balanced q-multinomial [N; a_1, ..., a_k]."""
+    """Balanced q-multinomial [N; a_1, ..., a_k].
+
+    [N]! over the parts' q-factorials, with the largest part's [a]!
+    cancelled first: the product of [i] for a < i <= N, divided by the
+    other parts' q-factorials.
+    """
     comp = parts if isinstance(parts, Composition) else Composition(tuple(parts))
     if comp.total != N:
         raise WebError(f"parts {comp.parts} do not sum to N = {N}")
-    out = q_factorial(N)
-    for a in comp.parts:
+    rest = sorted(comp.parts)
+    top = rest.pop() if rest else 0
+    out = LaurentQ.one()
+    for i in range(top + 1, N + 1):
+        out = out * LaurentQ.quantum_integer(i)
+    for a in rest:
         out = out.divexact(q_factorial(a))
     return out
 

@@ -330,6 +330,26 @@ def test_mf_hessian_negative_trials_exit_2(capsys):
     assert "--trials" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["sylvester", "--mode", "grid"], "--mode"),
+    (["sylvester", "--f", "s1"], "--f"),
+    (["exchange", "--p", "1"], "--p"),
+    (["exchange", "--f", "s1"], "--f"),
+    (["chenlouck", "--q", "0"], "--q"),
+    (["chenlouck", "--p", "0", "--q", "0"], "--p"),
+    (["dksv", "--f", "s1+s2"], "--f"),
+    (["dksv", "--q", "1"], "--q"),
+])
+def test_verify_option_its_identity_does_not_read_exit_2(argv, option, capsys):
+    assert run(["verify"] + argv) == 2
+    assert f"does not read {option}" in capsys.readouterr().err
+
+
+def test_verify_sylvester_accepts_the_default_mode(capsys):
+    # symbolic is the default, so naming it changes nothing observable
+    assert run(["verify", "sylvester", "--m", "1", "--n", "1", "--mode", "symbolic"]) == 0
+
+
 def test_web_decompose_without_f_exit_2(capsys):
     assert run(["web", "decompose", "--p", "2", "--parts", "1,1,1"]) == 2
     assert "--f" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -451,6 +452,98 @@ def test_eight_seams_fold_over_gf_3_8():
         ), tuple(Seam(kind, ("f1", f"a{i}"), ("f2", f"b{i}"),
                       sigmas[i] if kind == "defect" else None) for i in range(8)))
         assert evaluate_neck(s) == evaluate_coloring(s)
+
+
+# How a piece h crosses a seam into the composite: the seam kind and the
+# end h holds (end1 is a defect's target and an inclusion's upper side).
+CROSSINGS = [("plain", 0), ("plain", 1), ("defect", 0), ("defect", 1),
+             ("inclusion", 0), ("inclusion", 1)]
+
+
+def _crossing_seam(be, crossing, end_c, end_h, level, rng):
+    """The seam that h's circle end_h crosses to end_c, whose facet has the
+    given level; returns the seam and h's level."""
+    kind, h_end = crossing
+    ends = (end_c, end_h) if h_end else (end_h, end_c)
+    if kind == "inclusion":
+        return Seam(kind, *ends), level + 1 if h_end else level - 1
+    sigma = (be.frobenius_automorphism(level, rng.randrange(1, be.dim(level)))
+             if kind == "defect" else None)
+    return Seam(kind, *ends, sigma), level
+
+
+@pytest.mark.parametrize("be", [TOWER3, FOLD_BACKENDS["GF(2)<GF(8)<GF(64)"]],
+                         ids=["GF(81)", "GF(64)"])
+@pytest.mark.parametrize("first", CROSSINGS[2:5])
+@pytest.mark.parametrize("second", CROSSINGS)
+def test_fold_across_a_carried_end(be, first, second):
+    # A <- B through `first`, then C through B's other circle: C crosses
+    # `second` and then the map that carried B's circle in, which is sigma,
+    # its inverse or an inclusion.  In the triangle, C comes in from A by a
+    # plain seam instead, and its circle to B folds against B's carried list.
+    rng = random.Random(f"{first}{second}")
+    b_level = 1
+    values = []
+    for _ in range(6):
+        seam1, a_level = _crossing_seam(be, (first[0], 1 - first[1]), ("B", "a"),
+                                        ("A", "b"), b_level, rng)
+        seam2, c_level = _crossing_seam(be, second, ("B", "c"), ("C", "b"),
+                                        b_level, rng)
+        shapes = [((("A", ("b",), a_level), ("B", ("a", "c"), b_level),
+                    ("C", ("b",), c_level)), (seam1, seam2))]
+        if c_level == a_level:
+            # C with a second circle, to A by a plain seam
+            shapes.append(((("A", ("b", "c"), a_level), ("B", ("a", "c"), b_level),
+                            ("C", ("b", "a"), c_level)),
+                           (seam1, seam2, Seam("plain", ("A", "c"), ("C", "a")))))
+        for facets, seams in shapes:
+            s = DecoratedSurface(be, tuple(
+                Facet(fid, rng.randint(0, 1), level,
+                      (be.random_element(level, rng),), circles)
+                for fid, circles, level in facets), seams)
+            assert [len(ends) for _, _, ends in _fold(*_cut(s), s)] == [0]
+            value = evaluate_neck(s)
+            assert value == unfolded_state_sum(s) == evaluate_coloring(s)
+            values.append(value)
+    assert any(v != be.zero(0) for v in values)
+
+
+SQRT2 = FOLD_BACKENDS["Q(sqrt2)"]
+
+
+def pinned_corpus():
+    """Seeded surfaces on every seam kind: surfgen draws on four backends,
+    unfoldable surfaces, and two top-level GF(81) facets joined by 2-6 plain
+    or defect seams."""
+    rng = random.Random(4817)
+    corpus = []
+    for be in (TOWER3, SQRT2, CUBIC, NILPOTENT):
+        corpus += [random_surface(be, rng, max_seams=4) for _ in range(60)]
+        if be.num_levels > 1:
+            corpus += [unfoldable_surface(be, rng) for _ in range(8)]
+    top = TOWER3.num_levels - 1
+    for k in range(2, 7):
+        for kind in ("plain", "defect"):
+            f1 = Facet("f1", 0, top, (TOWER3.random_element(top, rng),),
+                       tuple(f"a{i}" for i in range(k)))
+            f2 = Facet("f2", k % 2, top, (TOWER3.random_element(top, rng),),
+                       tuple(f"b{i}" for i in range(k)))
+            corpus.append(DecoratedSurface(TOWER3, (f1, f2), tuple(
+                Seam(kind, ("f1", f"a{i}"), ("f2", f"b{i}"),
+                     TOWER3.frobenius_automorphism(top, rng.randrange(1, 4))
+                     if kind == "defect" else None)
+                for i in range(k))))
+    return corpus
+
+
+# sha256 of the evaluate_neck values of pinned_corpus(), one repr a line, as
+# computed with every seam crossed by the contraction of its dual-basis lists
+_PINNED_NECK_DIGEST = "64a76288f2dea9241d952d867bd9a0332a5e8be8e5584a1988730010fb5934d5"
+
+
+def test_neck_values_pinned_over_a_seeded_corpus():
+    values = "\n".join(repr(evaluate_neck(s)) for s in pinned_corpus())
+    assert hashlib.sha256(values.encode()).hexdigest() == _PINNED_NECK_DIGEST
 
 
 # ------------------------------------------------------------------ rewrites

@@ -8,6 +8,7 @@ from foamlib.webgal import (
     WebError,
     disk_dot_basis_check,
     multinomial,
+    q_factorial,
     q_multinomial,
     validated_root_permutations,
     web_decomposition,
@@ -46,6 +47,17 @@ def test_q_multinomial_palindromic_and_q1():
             assert qm.is_palindromic(), (N, comp)
             assert qm.at_q1() == multinomial(N, comp), (N, comp)
             assert all(c > 0 for c in qm.coeffs.values())
+
+
+def test_q_multinomial_matches_the_quotient_of_q_factorials():
+    # the definition [N]! / prod [a_i]!, divided out in full
+    for N in range(8):
+        for comp in all_compositions(N):
+            want = q_factorial(N)
+            for a in comp:
+                want = want.divexact(q_factorial(a))
+            assert q_multinomial(N, comp) == want, comp
+    assert q_multinomial(200, (200,)) == LaurentQ.one()
 
 
 def test_bad_composition():
