@@ -8,25 +8,28 @@ irreducible representations.
 
 from foamlib.wreathrep import (
     D4_CHARACTERS,
-    TreeAutomorphism,
+    all_elements,
+    beta_perm,
     central_element_checks,
     conjugacy_classes,
     cycle_string,
     d4_table_check,
     epm_idempotent_check,
     group_facts,
+    index_of,
     mackey_orbit_check,
     oor_count_cross_check,
     oor_irrep_count,
-    to_permutation,
 )
 
 # ---------------------------------------------------------------------------
-# Elements are swap bits on the internal nodes of a full binary tree.
-# The root bit alone is the branch swap: at depth 2 that is (13)(24).
+# An element of G(n) is an index in wreath order: r*M^2 + i*M + j, with
+# M = |G(n-1)|, is beta^r o (a x b), the branch swap beta after a on the
+# first half of the leaves and b on the second.  A leaf permutation enters
+# through index_of and leaves by decoding; at depth 2 beta is (13)(24).
 
-beta2 = TreeAutomorphism(2, (1, 0, 0))
-print("root swap at depth 2:", cycle_string(to_permutation(beta2)))
+beta2 = index_of(beta_perm(2))
+print("root swap at depth 2: index", beta2, "=", cycle_string(all_elements(2)[beta2]))
 
 # ---------------------------------------------------------------------------
 # Orders are 2^(2^n - 1); the center has order two; the group splits into

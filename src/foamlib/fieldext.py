@@ -219,12 +219,17 @@ class FrobeniusBackend:
         return DualBasisPair(tuple(basis), tuple(ys))
 
     def handle_element(self, level):
-        """h = sum_i x_i y_i; independent of the chosen dual pair."""
+        """h = sum_i x_i y_i; independent of the chosen dual pair, so cached
+        per level like dual_bases."""
         level = self.level_index(level)
+        cache = self.__dict__.setdefault("_handle_cache", {})
+        if level in cache:
+            return cache[level]
         pair = self.dual_bases(level)
         acc = self.zero(level)
         for x, y in zip(pair.xs, pair.ys):
             acc = self.add(level, acc, self.mul(level, x, y))
+        cache[level] = acc
         return acc
 
     def randomized_dual_pair(self, level, rng) -> DualBasisPair:

@@ -1,46 +1,54 @@
-"""Iterated wreath products of S2: tree automorphisms and their checks.
+"""Iterated wreath products of S2: one element representation and its checks.
 
-G(n) is the symmetry group of the full binary tree of depth n, presented
-by one swap bit per internal node (breadth-first order, 2^n - 1 bits).
-Where the root bit is b and the subtrees act by s_L, s_R on the two
-halves of the leaf set, the leaf permutation is
+G(n) = G(n-1) wr S2 is the symmetry group of the full binary tree of depth
+n.  An element of G(n) is an index in wreath order: with
+M = |G(n-1)| = 2^(2^(n-1) - 1), the index r*M^2 + i*M + j stands for
 
-    sigma = beta^b o (s_L x s_R),      beta = the half-swap
+    beta^r o (G(n-1)[i] x G(n-1)[j]),      beta = the half-swap,
 
-so the bit arrays biject onto the subgroup of S(2^n) and composition is
-done at the permutation level.  Permutations are tuples perm[i] = image
-of i, 0-indexed; printed cycles are 1-indexed to match the usual
-conventions.
+the i-th element of G(n-1) acting on the first half of the leaves and the
+j-th on the second.  Since (a x b) o beta = beta o (b x a), products and
+inverses follow from the index alone, by recursion on n:
 
-The element layer follows the same definition.  G(n) is built once per
-process from G(n-1): first every block a x b (b shifted onto the second
-half of the leaves), then each block composed with beta, which is the
-block (a shifted onto the second half) followed by b.  The result is
-cached per n, so the whole-group passes (conjugacy classes, the center,
-the coset split, the H x H orbits) share one enumeration and work over
-element indices: a table per generator maps each index to the index of
-its conjugate (or product), and orbits are walked over those tables.
-The generating set they use is beta on the leftmost block of each depth,
-n involutions for G(n); doubled onto both halves it gives the 2(n-1)
-generators of H = G(n-1) x G(n-1).
+    (r1, i1, j1)(r2, i2, j2) = (r1 xor r2, i1' i2, j1' j2),
 
-The tables are not read off composed permutations.  An index of G(n)
-spells out its element as beta^r o (a x b) with a, b in G(n-1), so the
-tables of G(n) follow from those of G(n-1) by index arithmetic (the
-rules are stated above `_lift`): each one is a single list comprehension
-of index sums, stored as an array of machine integers.  A conjugation
-table is one such lift of G(n-1)'s conjugation and multiplication
-tables, not a left table composed with a right one.  The multiplication
-tables are kept only for the levels below the one being built, the
-conjugation tables per n.
+where (i1', j1') is (i1, j1), swapped when r2 = 1.  The group algebra
+(`GroupAlgElem`), the central-element and e_+/e_- checks, the beta twist
+and the dihedral table all multiply indices this way; no permutation is
+composed.
 
-What is counted: the center is the set of indices that every
-conjugation table fixes, filtered one table at a time; `class_count`
-counts the conjugation orbits of all of G(n) as the walk meets them,
-while `conjugacy_classes` also lists and sorts each class; the Mackey
-check walks the H x H orbits over the left and right tables of H's
-generators.  Class counts are always counted as orbits of the
-enumerated group, never read off the recursion.
+Leaf permutations (tuples perm[i] = image of i, 0-indexed; printed cycles
+are 1-indexed) appear only at the boundary.  On the way in, an element
+the paper names by its leaf action (c_n, the copies of c_k, beta, g x 1
+and 1 x g, the subgroups of the dihedral table) enters once through
+`index_of`, which splits the permutation into halves by the same
+recursion and refuses one that is not a tree symmetry.  On the way out,
+`_elements(n)` decodes each index to its leaf permutation: for the order
+check (distinct permutations), the listed center, membership of
+H = G(n-1) x G(n-1) by leaf action, the listed classes and cycle strings.
+Since named elements enter by their leaf action, a wrong table, product
+or decoder still turns a check false.
+
+The whole-group passes (conjugacy classes, the center, the coset split,
+the H x H orbits) work over indices: a table per generator maps each
+index to the index of its conjugate (or product), and orbits are walked
+over those tables.  The generating set they use is beta on the leftmost
+block of each depth, n involutions for G(n); doubled onto both halves it
+gives the 2(n-1) generators of H.  The tables of G(n) follow from those
+of G(n-1) by the same index arithmetic (the rules are stated above
+`_lift`): each one is a single list comprehension of index sums, stored
+as an array of machine integers.  A conjugation table is one such lift of
+G(n-1)'s conjugation and multiplication tables, not a left table composed
+with a right one.  The multiplication tables are kept only for the levels
+below the one being built, the conjugation tables per n.
+
+What is counted: the center is the set of indices that every conjugation
+table fixes, filtered one table at a time; `class_count` counts the
+conjugation orbits of all of G(n) as the walk meets them, while
+`conjugacy_classes` also lists and sorts each class; the Mackey check
+walks the H x H orbits over the left and right tables of H's generators.
+Class counts are always counted as orbits of the enumerated group, never
+read off the recursion.
 
 The dihedral character data for G(2) lives here as an explicit table and
 is verified (orthogonality, restriction to the permutation module, the
@@ -52,29 +60,11 @@ from __future__ import annotations
 import functools
 import random
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 
 
 # ---------------------------------------------------------------------------
-# Permutations
-
-
-def p_identity(n_points: int) -> tuple:
-    return tuple(range(n_points))
-
-
-def p_compose(p: tuple, q: tuple) -> tuple:
-    """(p o q)(i) = p(q(i)): q acts first.  On one point both are (0,)."""
-    return itemgetter(*q)(p) if len(q) > 1 else p
-
-
-def p_inverse(p: tuple) -> tuple:
-    out = [0] * len(p)
-    for i, img in enumerate(p):
-        out[img] = i
-    return tuple(out)
+# Leaf permutations: the boundary
 
 
 def p_cycles(p: tuple) -> list[tuple]:
@@ -101,77 +91,41 @@ def cycle_string(p: tuple) -> str:
     return "".join("(" + ",".join(str(i + 1) for i in c) + ")" for c in cycles)
 
 
-# ---------------------------------------------------------------------------
-# Tree automorphisms
-
-
-@dataclass(frozen=True)
-class TreeAutomorphism:
-    depth: int
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        want = 2**self.depth - 1
-        if len(self.bits) != want:
-            raise ValueError(f"depth {self.depth} needs {want} bits")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("bits must be 0 or 1")
-
-
 def beta_perm(n: int) -> tuple:
     """The branch swap on 2^n leaves: i <-> i + 2^(n-1)."""
     h = 2 ** (n - 1)
     return tuple((i + h) % (2 * h) for i in range(2 * h))
 
 
-def to_permutation(t: TreeAutomorphism) -> tuple:
-    """Leaf action, computed recursively down the bit tree."""
-    def rec(node: int, depth: int) -> tuple:
-        if depth == 0:
-            return (0,)
-        half = rec(2 * node + 1, depth - 1)
-        other = rec(2 * node + 2, depth - 1)
-        h = 2 ** (depth - 1)
-        block = tuple(half[i] for i in range(h)) + tuple(other[i] + h for i in range(h))
-        if t.bits[node]:
-            return tuple((block[i] + h) % (2 * h) for i in range(2 * h))
-        return block
-
-    return rec(0, t.depth)
-
-
-def from_permutation(n: int, perm: tuple) -> TreeAutomorphism:
-    """Decompose a leaf permutation into swap bits; raises if not in G(n)."""
-    bits = [0] * (2**n - 1)
-
-    def rec(node: int, depth: int, p: tuple):
-        if depth == 0:
-            return
+def index_of(perm) -> int:
+    """The wreath-order index of a leaf permutation, split as
+    beta^r o (a x b) half by half; ValueError if it is not a tree symmetry."""
+    def halve(p: tuple) -> int:
         size = len(p)
+        if size < 2 or size % 2:
+            if p != (0,):
+                raise ValueError(f"{perm} is not a tree symmetry")
+            return 0
         h = size // 2
-        first_half = {p[i] for i in range(h)}
-        if first_half == set(range(h)):
-            bits[node] = 0
-            base = p
-        elif first_half == set(range(h, size)):
-            bits[node] = 1
-            base = tuple((p[i] + h) % size for i in range(size))
+        first = set(p[:h])
+        if first == set(range(h)):
+            r, a, b = 0, p[:h], tuple(x - h for x in p[h:])
+        elif first == set(range(h, size)):
+            # beta o (a x b) sends the first half by a onto the second
+            r, a, b = 1, tuple(x - h for x in p[:h]), p[h:]
         else:
-            raise ValueError(f"{cycle_string(perm)} is not a tree symmetry")
-        left = tuple(base[i] for i in range(h))
-        right = tuple(base[i + h] - h for i in range(h))
-        rec(2 * node + 1, depth - 1, left)
-        rec(2 * node + 2, depth - 1, right)
+            raise ValueError(f"{perm} is not a tree symmetry")
+        M = 1 << (h - 1)  # |G(n-1)| = 2^(2^(n-1) - 1), h = 2^(n-1)
+        return (r * M + halve(a)) * M + halve(b)
 
-    rec(0, n, perm)
-    return TreeAutomorphism(n, tuple(bits))
+    return halve(tuple(perm))
 
 
 @functools.cache
 def _elements(n: int) -> tuple:
-    """G(n) in wreath order: every a x b for a, b in G(n - 1), then the
-    same blocks composed with beta.  Index r*M^2 + i*M + j (M = |G(n-1)|)
-    is beta^r o (G(n-1)[i] x G(n-1)[j])."""
+    """The decoder: G(n) as leaf permutations in wreath order, every a x b
+    for a, b in G(n - 1), then the same blocks composed with beta.  Index
+    r*M^2 + i*M + j (M = |G(n-1)|) is beta^r o (G(n-1)[i] x G(n-1)[j])."""
     if n < 0:
         raise ValueError("n >= 0")
     if n == 0:
@@ -189,13 +143,43 @@ def all_elements(n: int) -> list[tuple]:
     return list(_elements(n))
 
 
-def generators(n: int) -> list[tuple]:
-    """beta on the leftmost block of each depth: n involutions generating G(n).
+# ---------------------------------------------------------------------------
+# Index arithmetic
 
-    G(n) is generated by G(n-1) on the first half together with beta,
-    since beta conjugates the first copy of G(n-1) onto the second.
-    """
-    return [embed_block(beta_perm(k), 2**n, 0) for k in range(n, 0, -1)]
+
+def _order(n: int) -> int:
+    """|G(n)| = 2^(2^n - 1)."""
+    return 1 << (2**n - 1)
+
+
+def _product(n: int, x: int, y: int) -> int:
+    """The index of G(n)[x] o G(n)[y] (y acts first): beta^r o (a x b) times
+    beta^s o (c x d) is beta^(r xor s) o (a' c x b' d), where (a', b') is
+    (a, b), swapped when s = 1, since (a x b) o beta = beta o (b x a)."""
+    if n == 0:
+        return 0
+    M = _order(n - 1)
+    r, x = divmod(x, M * M)
+    s, y = divmod(y, M * M)
+    a, b = divmod(x, M)
+    c, d = divmod(y, M)
+    if s:
+        a, b = b, a
+    return ((r ^ s) * M + _product(n - 1, a, c)) * M + _product(n - 1, b, d)
+
+
+def _inverse(n: int, x: int) -> int:
+    """The index of G(n)[x]^-1: (beta^r o (a x b))^-1 = (a^-1 x b^-1) o beta^r,
+    which is beta o (b^-1 x a^-1) when r = 1."""
+    if n == 0:
+        return 0
+    M = _order(n - 1)
+    r, x = divmod(x, M * M)
+    a, b = divmod(x, M)
+    a, b = _inverse(n - 1, a), _inverse(n - 1, b)
+    if r:
+        a, b = b, a
+    return (r * M + a) * M + b
 
 
 # Index tables.  With M = |G(n-1)|, the element of index r*M^2 + i*M + j is
@@ -224,11 +208,11 @@ def _block(M: int, f, g) -> tuple[array, array]:
 
 
 def _generator_tables(n: int):
-    """Yield the (left, right) multiplication tables on G(n) of each of
-    generators(n): beta, then each generator of G(n-1) on the first half."""
+    """Yield the (left, right) multiplication tables on G(n) of the n level
+    swaps: beta, then each level swap of G(n-1) on the first half."""
     if n == 0:
         return
-    M = len(_elements(n - 1))
+    M = _order(n - 1)
     ids, rows = range(M), [i * M for i in range(M)]
     top = M * M
     yield (_lift([([top + a for a in rows], ids), (rows, ids)]),
@@ -252,7 +236,7 @@ def _conjugation_tables(n: int) -> tuple[array, ...]:
     beta o (a f x f b), so each table is one lift of tables of G(n-1)."""
     if n == 0:
         return ()
-    M = len(_elements(n - 1))
+    M = _order(n - 1)
     ids, rows = range(M), [i * M for i in range(M)]
     top = M * M
     tables = [_lift([(ids, rows), ([top + i for i in ids], rows)])]
@@ -266,7 +250,7 @@ def _conjugation_tables(n: int) -> tuple[array, ...]:
 def _mackey_tables(n: int) -> list[array]:
     """Left, then right, multiplication on G(n) by the generators of
     H = G(n-1) x G(n-1): g x 1 and 1 x g for each generator g of G(n-1)."""
-    M = len(_elements(n - 1))
+    M = _order(n - 1)
     ident = (range(M), range(M))
     blocks = [b for t in _lower_generator_tables(n - 1)
               for b in (_block(M, t, ident), _block(M, ident, t))]
@@ -330,7 +314,7 @@ def group_facts(n: int) -> dict:
     fixed = range(len(elems))
     for t in _conjugation_tables(n):
         fixed = [i for i in fixed if t[i] == i]
-    ident = p_identity(2**n)
+    ident = tuple(range(2**n))
     report["center"] = sorted(elems[i] for i in fixed)
     report["center_ok"] = report["center"] == sorted([ident, cn])
 
@@ -359,7 +343,7 @@ def mackey_orbit_check(n: int) -> dict:
     if n > 4:
         raise ValueError("desk-scale only (n <= 4)")
     tables = _mackey_tables(n)
-    size = len(_elements(n))
+    size = _order(n)
     # in wreath order the identity has index 0 and beta index size / 2;
     # _orbits lists an orbit once, so beta in the identity's leaves one
     sizes = sorted(map(len, _orbits(tables, size, [0, size // 2])))
@@ -374,19 +358,20 @@ def mackey_orbit_check(n: int) -> dict:
     return report
 
 
-def _factor_generators(n: int) -> list[tuple[tuple, tuple]]:
-    """Each generator of G(n-1) on the first and on the second half of the
-    leaves: together they generate H = G(n-1) x G(n-1)."""
-    return [(embed_block(g, 2**n, 0), embed_block(g, 2**n, 2 ** (n - 1)))
-            for g in generators(n - 1)]
-
-
 def _twist_ok(n: int) -> bool:
-    """beta conjugation swaps the two factors of H, checked on generators."""
-    beta = beta_perm(n)
-    return all(p_compose(p_compose(beta, left), beta) == right
-               and p_compose(p_compose(beta, right), beta) == left
-               for left, right in _factor_generators(n))
+    """beta conjugation swaps the two factors of H: beta (g x 1) beta = 1 x g
+    and back, for g the level swaps generating G(n-1), by index products."""
+    beta = index_of(beta_perm(n))
+
+    def twist(x):
+        return _product(n, _product(n, beta, x), beta)
+
+    for k in range(1, n):
+        left = index_of(embed_block(beta_perm(k), 2**n, 0))
+        right = index_of(embed_block(beta_perm(k), 2**n, 2 ** (n - 1)))
+        if twist(left) != right or twist(right) != left:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -394,68 +379,67 @@ def _twist_ok(n: int) -> bool:
 
 
 class GroupAlgElem:
-    """Sparse rational group-algebra element keyed by leaf permutations."""
+    """Sparse rational element of Q[G(n)], keyed by wreath-order index."""
 
     __slots__ = ("n", "coeffs")
 
     def __init__(self, n: int, coeffs=None):
         self.n = n
         self.coeffs = {}
-        for perm, c in (coeffs or {}).items():
+        for g, c in (coeffs or {}).items():
             c = Fraction(c)
             if c:
-                self.coeffs[perm] = c
+                self.coeffs[g] = c
 
     @staticmethod
     def of_perm(n: int, perm: tuple, c=1) -> "GroupAlgElem":
-        return GroupAlgElem(n, {perm: Fraction(c)})
+        """c times the element of G(n) with the leaf action perm."""
+        if len(perm) != 2**n:
+            raise ValueError(f"{perm} does not act on the {2**n} leaves of G({n})")
+        return GroupAlgElem(n, {index_of(perm): c})
 
     @staticmethod
     def unit(n: int) -> "GroupAlgElem":
-        return GroupAlgElem.of_perm(n, p_identity(2**n))
+        return GroupAlgElem(n, {0: 1})
 
     def __add__(self, other):
         out = dict(self.coeffs)
-        for perm, c in other.coeffs.items():
-            out[perm] = out.get(perm, Fraction(0)) + c
+        for g, c in other.coeffs.items():
+            out[g] = out.get(g, Fraction(0)) + c
         return GroupAlgElem(self.n, out)
 
     def __sub__(self, other):
-        out = dict(self.coeffs)
-        for perm, c in other.coeffs.items():
-            out[perm] = out.get(perm, Fraction(0)) - c
-        return GroupAlgElem(self.n, out)
+        return self + other * -1
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return GroupAlgElem(
-                self.n, {p: c * other for p, c in self.coeffs.items()}
+                self.n, {g: c * other for g, c in self.coeffs.items()}
             )
         out = {}
-        for p1, c1 in self.coeffs.items():
-            for p2, c2 in other.coeffs.items():
-                p = p_compose(p1, p2)
-                out[p] = out.get(p, Fraction(0)) + c1 * c2
+        for x, c1 in self.coeffs.items():
+            for y, c2 in other.coeffs.items():
+                g = _product(self.n, x, y)
+                out[g] = out.get(g, Fraction(0)) + c1 * c2
         return GroupAlgElem(self.n, out)
 
     __rmul__ = __mul__
-
-    def conjugate_by(self, s: tuple) -> "GroupAlgElem":
-        s_inv = p_inverse(s)
-        return GroupAlgElem(
-            self.n,
-            {p_compose(p_compose(s, p), s_inv): c for p, c in self.coeffs.items()},
-        )
 
     def __eq__(self, other):
         return isinstance(other, GroupAlgElem) and self.n == other.n \
             and self.coeffs == other.coeffs
 
     def is_central(self) -> bool:
-        return all(self.conjugate_by(s) == self for s in generators(self.n))
+        """Fixed by conjugation by every generator: each conjugation table
+        sends each element of the support to one of the same coefficient."""
+        return all(self.coeffs.get(t[g]) == c
+                   for t in _conjugation_tables(self.n)
+                   for g, c in self.coeffs.items())
 
     def __repr__(self):
-        parts = [f"{c}*{cycle_string(p)}" for p, c in sorted(self.coeffs.items())]
+        elems = _elements(self.n)
+        parts = [f"{c}*{cycle_string(p)}"
+                 for p, c in sorted((elems[g], c) for g, c in self.coeffs.items())]
         return " + ".join(parts) if parts else "0"
 
 
@@ -471,25 +455,33 @@ def copy_of_center_element(n: int, k: int, index: int) -> tuple:
 def central_element_checks(n: int) -> dict:
     if n < 0:
         raise ValueError("n >= 0")
+    if n > 4:
+        raise ValueError("desk-scale only (n <= 4)")  # is_central reads whole-group tables
+
+    def named(perm):
+        return GroupAlgElem.of_perm(n, perm)
+
     report = {}
-    cn = GroupAlgElem.of_perm(n, center_element(n))
+    cn = named(center_element(n))
     report["c_n_central"] = cn.is_central()
     report["c_n_squared_is_one"] = (cn * cn) == GroupAlgElem.unit(n)
     if n >= 1:
-        z = GroupAlgElem.of_perm(n, copy_of_center_element(n, n - 1, 0)) + \
-            GroupAlgElem.of_perm(n, copy_of_center_element(n, n - 1, 1))
+        z = named(copy_of_center_element(n, n - 1, 0)) + \
+            named(copy_of_center_element(n, n - 1, 1))
         report["one_dot_bubble_central"] = z.is_central()
     if n >= 2:
         z4 = GroupAlgElem(n)
         for i in range(4):
-            z4 = z4 + GroupAlgElem.of_perm(n, copy_of_center_element(n, n - 2, i))
+            z4 = z4 + named(copy_of_center_element(n, n - 2, i))
         report["four_dot_bubble_central"] = z4.is_central()
-    # the inductive description of c_n (the base case is c_1 itself)
-    if n >= 2:
-        paired = p_compose(
-            copy_of_center_element(n, n - 1, 0), copy_of_center_element(n, n - 1, 1)
-        )
-        report["c_n_inductive"] = paired == center_element(n)
+        # the inductive description of c_n (the base case is c_1 itself):
+        # c_n = c^(1) c^(2), the second copy being beta c^(1) beta
+        beta = named(beta_perm(n))
+        first = named(copy_of_center_element(n, n - 1, 0))
+        second = beta * first * beta
+        report["c_n_inductive"] = (
+            second == named(copy_of_center_element(n, n - 1, 1))
+            and first * second == cn)
     report["ok"] = all(v for k, v in report.items() if k != "ok")
     return report
 
@@ -521,7 +513,7 @@ def _class_orbits(n: int) -> list[list[int]]:
     """The conjugation orbits of G(n), as index lists, in wreath order."""
     if n > 4:
         raise ValueError("full enumeration is desk-scale only (n <= 4)")
-    size = len(_elements(n))
+    size = _order(n)
     return _orbits(_conjugation_tables(n), size, range(size))
 
 
@@ -545,29 +537,27 @@ def class_count(n: int) -> int:
 
 
 def _d4_classes():
-    """The five classes of G(2), ordered to match the stored table:
-    identity, transpositions, the central double swap, four-cycles, the
-    off-diagonal double swaps."""
-    classes = conjugacy_classes(2)
-    ident = p_identity(4)
+    """The five classes of G(2) as index lists, ordered to match the stored
+    table by the leaf action of a representative: identity, transpositions,
+    the central double swap, four-cycles, the off-diagonal double swaps."""
+    elems = _elements(2)
     cn = center_element(2)
 
     def classify(cls):
-        rep = cls[0]
+        rep = elems[cls[0]]
         moved = sum(1 for i in range(4) if rep[i] != i)
-        cycles = p_cycles(rep)
-        if rep == ident:
+        if moved == 0:
             return 0
         if moved == 2:
             return 1
         if rep == cn:
             return 2
-        if len(cycles) == 1:
+        if len(p_cycles(rep)) == 1:
             return 3
         return 4
 
     ordered = [None] * 5
-    for cls in classes:
+    for cls in _class_orbits(2):
         ordered[classify(cls)] = cls
     if any(c is None for c in ordered):
         raise AssertionError("G(2) does not have the expected five classes")
@@ -593,20 +583,22 @@ def _char_inner(classes, chi1, chi2) -> Fraction:
     return total / order
 
 
-def _induced_character(classes, subgroup: set, sub_char) -> tuple:
-    """chi_Ind(g) = (1/|H|) sum over x in G with x^-1 g x in H of chi(x^-1gx)."""
-    elems = [g for cls in classes for g in cls]
+def _conjugates_in(classes, subgroup: set) -> list[list[int]]:
+    """Per class, with g its first element: x^-1 g x for each x in G,
+    kept when it lies in the subgroup (repeats included)."""
+    elems = [x for cls in classes for x in cls]
     out = []
     for cls in classes:
-        g = cls[0]
-        total = Fraction(0)
-        for x in elems:
-            xi = p_inverse(x)
-            conj = p_compose(p_compose(xi, g), x)
-            if conj in subgroup:
-                total += Fraction(sub_char(conj))
-        out.append(total / len(subgroup))
-    return tuple(out)
+        conjugates = (_product(2, _inverse(2, x), _product(2, cls[0], x)) for x in elems)
+        out.append([c for c in conjugates if c in subgroup])
+    return out
+
+
+def _induced_character(hits, subgroup_order: int, sub_char) -> tuple:
+    """chi_Ind(g) = (1/|H|) sum over x in G with x^-1 g x in H of
+    chi(x^-1gx), over the conjugates `_conjugates_in` keeps."""
+    return tuple(sum(map(Fraction, map(sub_char, row)), Fraction(0)) / subgroup_order
+                 for row in hits)
 
 
 def d4_table_check(seed: int = 0) -> dict:
@@ -626,31 +618,20 @@ def d4_table_check(seed: int = 0) -> dict:
     report["orthogonality_ok"] = ortho
     report["sum_of_squares_ok"] = sum(chars[a][0] ** 2 for a in names) == 8
 
-    # permutation character of D4/H for H = {e, (34)}
-    trans34 = (0, 1, 3, 2)
-    H = {p_identity(4), trans34}
-    elems = [g for cls in classes for g in cls]
-    cosets = []
-    seen = set()
-    for g in elems:
-        coset = frozenset(p_compose(g, h) for h in H)
-        if coset not in seen:
-            seen.add(coset)
-            cosets.append(coset)
-    perm_char = []
-    for cls in classes:
-        g = cls[0]
-        fixed = sum(
-            1 for coset in cosets
-            if frozenset(p_compose(g, x) for x in coset) == coset
-        )
-        perm_char.append(fixed)
-    report["perm_char"] = tuple(perm_char)
-    report["perm_char_ok"] = tuple(perm_char) == D4_PERMUTATION_ROW
+    # permutation character of D4/H for H = {e, (34)}: the cosets x H
+    # that g fixes, for g a representative of each class
+    H = {index_of((0, 1, 2, 3)), index_of((0, 1, 3, 2))}
+    cosets = {frozenset(_product(2, x, h) for h in H) for cls in classes for x in cls}
+    perm_char = tuple(
+        sum(frozenset(_product(2, cls[0], x) for x in coset) == coset
+            for coset in cosets)
+        for cls in classes)
+    report["perm_char"] = perm_char
+    report["perm_char_ok"] = perm_char == D4_PERMUTATION_ROW
     want = tuple(
         chars["V"][i] + chars["V+"][i] + chars["V-"][i] for i in range(5)
     )
-    report["perm_decomposition_ok"] = tuple(perm_char) == want
+    report["perm_decomposition_ok"] = perm_char == want
 
     # tensor decompositions
     vv = tuple(chars["V"][i] * chars["V"][i] for i in range(5))
@@ -665,10 +646,11 @@ def d4_table_check(seed: int = 0) -> dict:
     # induction-restriction: Ind(Res M) = Ind(1) (x) M at character level
     rng = random.Random(seed)
     indres_ok = True
-    subgroups = [H, {p_identity(4), (1, 0, 2, 3), trans34,
-                     p_compose((1, 0, 2, 3), trans34)}]
+    subgroups = [H, {index_of(p) for p in
+                     ((0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2))}]
     for subgroup in subgroups:
-        ind1 = _induced_character(classes, subgroup, lambda h: 1)
+        hits = _conjugates_in(classes, subgroup)
+        ind1 = _induced_character(hits, len(subgroup), lambda h: 1)
         for _ in range(5):
             virt = [rng.randint(-3, 3) for _ in names]
             chi_m = tuple(
@@ -676,7 +658,7 @@ def d4_table_check(seed: int = 0) -> dict:
                 for i in range(5)
             )
             lhs = _induced_character(
-                classes, subgroup,
+                hits, len(subgroup),
                 lambda h, cm=chi_m: _value_at(classes, cm, h),
             )
             rhs = tuple(ind1[i] * chi_m[i] for i in range(5))
@@ -698,7 +680,7 @@ def _value_at(classes, char_tuple, g):
     for cls, val in zip(classes, char_tuple):
         if g in cls:
             return val
-    raise KeyError(f"{cycle_string(g)} not in any class")
+    raise KeyError(f"{cycle_string(_elements(2)[g])} not in any class")
 
 
 # ---------------------------------------------------------------------------

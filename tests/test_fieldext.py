@@ -300,6 +300,24 @@ def test_handle_independent_of_dual_pair():
             assert acc == h
 
 
+def test_cached_handle_is_the_sum_over_a_randomized_dual_pair():
+    # handle_element is cached per level: the first call and the cached
+    # second one both equal sum x_i y_i recomputed over a fresh dual pair
+    rng = random.Random(29)
+    cubic = make_backend({"kind": "numberfield", "f": "x^3-3*x+1",
+                          "roots": ["x", "x^2-2", "2-x-x^2"]})
+    for backend in (FiniteFieldTower(3, [1, 2, 4]), cubic,
+                    nilpotent_square_algebra()):
+        for level in range(backend.num_levels):
+            first = backend.handle_element(level)
+            assert backend.handle_element(backend.level_names[level]) is first
+            pair = backend.randomized_dual_pair(level, rng)
+            acc = backend.zero(level)
+            for x, y in zip(pair.xs, pair.ys):
+                acc = backend.add(level, acc, backend.mul(level, x, y))
+            assert acc == first
+
+
 # ----------------------------------------------------------------- neck cutting
 
 def test_neck_cutting_identity():

@@ -553,7 +553,7 @@ def test_neck_values_pinned_over_a_seeded_corpus():
 def test_skein_rewrites_preserve_evaluation(pattern):
     from foamlib.surfgen import random_surface_with_pattern
 
-    rng = random.Random(hash(pattern) % 1000)
+    rng = random.Random(pattern)  # a str seed does not move with PYTHONHASHSEED
     for _ in range(12):
         s = random_surface_with_pattern(TOWER3, rng, pattern)
         assert skein_rewrite_check(pattern, s)

@@ -1,31 +1,102 @@
 import itertools
 import random
+from array import array
+from dataclasses import dataclass
+from operator import itemgetter
 
 import pytest
 
+from foamlib import wreathrep
+from foamlib.cli import run
 from foamlib.wreathrep import (
     D4_CHARACTERS,
     GroupAlgElem,
-    TreeAutomorphism,
+    _elements,
+    _inverse,
+    _product,
     all_elements,
+    beta_perm,
     center_element,
     central_element_checks,
     class_count,
     conjugacy_classes,
+    copy_of_center_element,
     cycle_string,
     d4_table_check,
+    embed_block,
     epm_idempotent_check,
-    from_permutation,
-    generators,
     group_facts,
+    index_of,
     mackey_orbit_check,
     oor_count_cross_check,
     oor_irrep_count,
-    p_compose,
-    p_identity,
-    p_inverse,
-    to_permutation,
 )
+
+
+# ------------------------------------------------------ the permutation oracle
+#
+# G(n) described independently of the index layer: swap bits on the internal
+# nodes of the tree, turned into leaf permutations and composed as such.
+
+
+def p_identity(n_points: int) -> tuple:
+    return tuple(range(n_points))
+
+
+def p_compose(p: tuple, q: tuple) -> tuple:
+    """(p o q)(i) = p(q(i)): q acts first.  On one point both are (0,)."""
+    return itemgetter(*q)(p) if len(q) > 1 else p
+
+
+def p_inverse(p: tuple) -> tuple:
+    out = [0] * len(p)
+    for i, img in enumerate(p):
+        out[img] = i
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class TreeAutomorphism:
+    """One swap bit per internal node, breadth-first (2^depth - 1 bits)."""
+
+    depth: int
+    bits: tuple[int, ...]
+
+    def __post_init__(self):
+        want = 2**self.depth - 1
+        if len(self.bits) != want:
+            raise ValueError(f"depth {self.depth} needs {want} bits")
+        if any(b not in (0, 1) for b in self.bits):
+            raise ValueError("bits must be 0 or 1")
+
+
+def to_permutation(t: TreeAutomorphism) -> tuple:
+    """Leaf action, computed recursively down the bit tree."""
+    def rec(node: int, depth: int) -> tuple:
+        if depth == 0:
+            return (0,)
+        half = rec(2 * node + 1, depth - 1)
+        other = rec(2 * node + 2, depth - 1)
+        h = 2 ** (depth - 1)
+        block = tuple(half[i] for i in range(h)) + tuple(other[i] + h for i in range(h))
+        if t.bits[node]:
+            return tuple((block[i] + h) % (2 * h) for i in range(2 * h))
+        return block
+
+    return rec(0, t.depth)
+
+
+def generators(n: int) -> list[tuple]:
+    """beta on the leftmost block of each depth: n involutions generating G(n),
+    since beta conjugates the first copy of G(n-1) onto the second."""
+    return [embed_block(beta_perm(k), 2**n, 0) for k in range(n, 0, -1)]
+
+
+def _factor_generators(n: int) -> list[tuple[tuple, tuple]]:
+    """Each generator of G(n-1) on the first and on the second half of the
+    leaves: together they generate H = G(n-1) x G(n-1)."""
+    return [(embed_block(g, 2**n, 0), embed_block(g, 2**n, 2 ** (n - 1)))
+            for g in generators(n - 1)]
 
 
 # ------------------------------------------------------- tree <-> permutation
@@ -51,8 +122,7 @@ def test_tree_composition_is_permutation_composition():
         p2 = to_permutation(TreeAutomorphism(3, bits2))
         composed = p_compose(p1, p2)
         # composition lands back in the group and round-trips
-        t = from_permutation(3, composed)
-        assert to_permutation(t) == composed
+        assert _elements(3)[index_of(composed)] == composed
 
 
 def test_bijection_small_depths():
@@ -60,7 +130,7 @@ def test_bijection_small_depths():
         perms = all_elements(n)
         assert len(set(perms)) == 2 ** (2**n - 1)
         for p in perms[:50]:
-            assert to_permutation(from_permutation(n, p)) == p
+            assert perms[index_of(p)] == p
 
 
 def _from_bits(n):
@@ -112,8 +182,13 @@ def test_center_is_brute_force_centralizer(n):
 
 
 def test_non_member_rejected():
-    with pytest.raises(ValueError):
-        from_permutation(2, (1, 2, 3, 0))  # a 4-cycle not preserving halves
+    with pytest.raises(ValueError, match="not a tree symmetry"):
+        index_of((1, 2, 3, 0))  # a 4-cycle not preserving halves
+    for bad in ((0, 2, 1, 3), (0, 0), (0, 1, 2), (1,), ()):
+        with pytest.raises(ValueError):
+            index_of(bad)
+    with pytest.raises(ValueError, match="leaves"):
+        GroupAlgElem.of_perm(3, (1, 0, 3, 2))
 
 
 # ------------------------------------------------------------- group facts
@@ -182,6 +257,12 @@ def test_element_checks_refuse_small_n(check, n, bound):
         check(n)
 
 
+def test_central_element_checks_refuse_past_n_4():
+    # is_central reads the conjugation tables of the whole group
+    with pytest.raises(ValueError, match="n <= 4"):
+        central_element_checks(5)
+
+
 # ------------------------------------------------------------------ D4 table
 
 def test_d4_table_all_checks():
@@ -245,11 +326,8 @@ def test_index_tables_match_composition(n):
     # composed permutations
     from foamlib.wreathrep import (
         _conjugation_tables,
-        _elements,
-        _factor_generators,
         _generator_tables,
         _mackey_tables,
-        embed_block,
     )
 
     elems = _elements(n)
@@ -274,3 +352,110 @@ def test_index_tables_match_composition(n):
     # g x 1 and 1 x g are the generators of G(n-1) placed on each half
     assert hgens == [embed_block(g, 2**n, half) for g in generators(n - 1)
                      for half in (0, 2 ** (n - 1))]
+
+
+# --------------------------------------------------------- index arithmetic
+
+def _pairs(n, count):
+    """Every pair of indices of G(n) for n <= 3, a seeded sample at n = 4."""
+    size = len(_elements(n))
+    if n <= 3:
+        return itertools.product(range(size), repeat=2)
+    rng = random.Random(41)
+    return [(rng.randrange(size), rng.randrange(size)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_index_product_is_composition(n):
+    elems = _elements(n)
+    for x, y in _pairs(n, 4000):
+        assert elems[_product(n, x, y)] == p_compose(elems[x], elems[y])
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_index_inverse_is_inverse(n):
+    elems = _elements(n)
+    for x, _ in _pairs(n, 2000):
+        assert elems[_inverse(n, x)] == p_inverse(elems[x])
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_index_of_round_trips(n):
+    elems = _elements(n)
+    indices = (range(len(elems)) if n <= 3
+               else random.Random(43).sample(range(len(elems)), 2000))
+    for i in indices:
+        assert index_of(elems[i]) == i
+
+
+def test_group_algebra_repr_decodes_leaf_actions():
+    z = GroupAlgElem.of_perm(2, (1, 0, 2, 3)) + GroupAlgElem.of_perm(2, (0, 1, 3, 2), 2)
+    assert repr(z) == "2*(3,4) + 1*(1,2)"
+
+
+# ---------------------------------------------------------- negative controls
+#
+# Each one breaks a single layer (a table, the product, the decoder) and must
+# turn a check false, since the elements the checks name enter by leaf action.
+
+def _one_dot_copies(n):
+    return [index_of(copy_of_center_element(n, n - 1, i)) for i in (0, 1)]
+
+
+@pytest.mark.parametrize("entries", ["one-dot copies", "identity and c_n"])
+def test_swapped_beta_conjugation_entries_fail_facts(entries, monkeypatch, capsys):
+    real = wreathrep._conjugation_tables
+    p, q = (_one_dot_copies(3) if entries == "one-dot copies"
+            else (0, index_of(center_element(3))))
+
+    def swapped(n):
+        tables = real(n)
+        if n != 3:
+            return tables
+        beta = array("l", tables[0])
+        beta[p], beta[q] = beta[q], beta[p]
+        return (beta,) + tables[1:]
+
+    monkeypatch.setattr(wreathrep, "_conjugation_tables", swapped)
+    assert run(["wreath", "facts", "-n", "3"]) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
+def _product_without_swap(n, x, y):
+    if n == 0:
+        return 0
+    M = wreathrep._order(n - 1)
+    r, x = divmod(x, M * M)
+    s, y = divmod(y, M * M)
+    a, b = divmod(x, M)
+    c, d = divmod(y, M)
+    return (((r ^ s) * M + _product_without_swap(n - 1, a, c)) * M
+            + _product_without_swap(n - 1, b, d))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_product_without_the_swap_fails_c_n_inductive(n, monkeypatch):
+    monkeypatch.setattr(wreathrep, "_product", _product_without_swap)
+    rep = central_element_checks(n)
+    assert not rep["c_n_inductive"] and not rep["ok"]
+    assert not group_facts(n)["twist_ok"]
+
+
+def test_product_without_the_swap_fails_the_d4_table(monkeypatch):
+    monkeypatch.setattr(wreathrep, "_product", _product_without_swap)
+    assert not d4_table_check()["ok"]
+
+
+def test_decoder_with_two_entries_swapped_fails_facts(monkeypatch, capsys):
+    real = wreathrep._elements
+    p, q = index_of(center_element(3)), _one_dot_copies(3)[0]
+
+    def swapped(n):
+        elems = list(real(n))
+        if n == 3:
+            elems[p], elems[q] = elems[q], elems[p]
+        return tuple(elems)
+
+    monkeypatch.setattr(wreathrep, "_elements", swapped)
+    assert run(["wreath", "facts", "-n", "3"]) == 1
+    assert "FAIL" in capsys.readouterr().out
