@@ -15,11 +15,12 @@ from foamlib.fieldext import (
     scaling_automorphism,
 )
 from foamlib.mftrace import JacobiAlgebra, as_frobenius_backend
-from foamlib.surfgen import random_surface
+from foamlib.surfgen import random_surface, random_surface_with_pattern
 from foamlib.tqft2d import (
     _cut,
     _fold,
     _state_sum,
+    REWRITE_RELATIONS,
     DecoratedSurface,
     Facet,
     Seam,
@@ -551,12 +552,82 @@ def test_neck_values_pinned_over_a_seeded_corpus():
 @pytest.mark.parametrize("pattern", ["remove_f_disk", "remove_k_disk",
                                      "push_dot", "merge_k_boundaries"])
 def test_skein_rewrites_preserve_evaluation(pattern):
-    from foamlib.surfgen import random_surface_with_pattern
-
     rng = random.Random(pattern)  # a str seed does not move with PYTHONHASHSEED
     for _ in range(12):
         s = random_surface_with_pattern(TOWER3, rng, pattern)
         assert skein_rewrite_check(pattern, s)
+
+
+def _canonical(s):
+    """A surface as one repr: facets, then seams with sigma's level and matrix."""
+    facets = [(f.id, f.genus, f.level, f.dots, f.boundary) for f in s.facets]
+    seams = [(se.kind, se.end0, se.end1,
+              None if se.sigma is None else (se.sigma.level, se.sigma.action))
+             for se in s.seams]
+    return repr((facets, seams))
+
+
+def rewrite_corpus():
+    """Each relation on seeded pattern draws over two towers, and tried on
+    plain surfgen draws, where a refusal is recorded by its text."""
+    lines = []
+    for k, be in enumerate((TOWER3, FiniteFieldTower(2, [1, 3, 6]))):
+        rng = random.Random(f"rewrites:{k}")
+        for relation in REWRITE_RELATIONS:
+            for _ in range(15):
+                s = random_surface_with_pattern(be, rng, relation)
+                lines.append(_canonical(skein_rewrite(relation, s)))
+        for _ in range(40):
+            s = random_surface(be, rng)
+            for relation in REWRITE_RELATIONS:
+                try:
+                    lines.append(_canonical(skein_rewrite(relation, s)))
+                except SurfaceError as exc:
+                    lines.append(f"{relation}: {exc}")
+    return lines
+
+
+# sha256 of rewrite_corpus(), one line each, as the hand-walked rewrites gave it
+_PINNED_REWRITE_DIGEST = "bee8da6e428eadb0dba47a90562fa83cf911d5f650d17a0ceeff092310b8f73a"
+
+
+def test_skein_rewrite_outputs_pinned():
+    lines = rewrite_corpus()
+    assert any(": " in line for line in lines)  # some refusals are recorded
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == _PINNED_REWRITE_DIGEST
+
+
+def test_merge_k_boundaries_renames_a_clashing_circle():
+    # fa and fb both have a circle "c", joined by a plain seam: merging fb
+    # into fa renames fb's "c" to "c_m", and the plain seam becomes a
+    # self-seam of the merged facet
+    top, low = 2, 1
+    rng = random.Random(23)
+    for _ in range(4):
+        kf = Facet("kf", rng.randint(0, 1), top, (TOWER3.random_element(top, rng),),
+                   ("k1", "k2"))
+        fa = Facet("fa", rng.randint(0, 1), low, (TOWER3.random_element(low, rng),),
+                   ("f1", "c"))
+        fb = Facet("fb", rng.randint(0, 1), low, (TOWER3.random_element(low, rng),),
+                   ("f2", "c"))
+        s = DecoratedSurface(TOWER3, (kf, fa, fb), (
+            Seam("inclusion", ("fa", "f1"), ("kf", "k1")),
+            Seam("inclusion", ("fb", "f2"), ("kf", "k2")),
+            Seam("plain", ("fa", "c"), ("fb", "c")),
+        ))
+        t = skein_rewrite("merge_k_boundaries", s)
+        merged = t.facet("fa")
+        assert merged.boundary == ("f1", "c", "c_m")
+        assert merged.genus == fa.genus + fb.genus
+        assert merged.dots == fa.dots + fb.dots
+        assert [f.id for f in t.facets] == ["kf", "fa"]
+        assert t.facet("kf").boundary == ("k1",)
+        assert t.seams == (Seam("inclusion", ("fa", "f1"), ("kf", "k1")),
+                           Seam("plain", ("fa", "c"), ("fa", "c_m")))
+        assert validate(t)["ok"]
+        assert skein_rewrite_check("merge_k_boundaries", s)
+        assert evaluate_coloring(t) == evaluate_neck(s)
 
 
 def test_remove_k_disk_over_a_number_field():
