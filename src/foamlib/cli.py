@@ -86,22 +86,15 @@ def cmd_tqft(args, report: RunReport):
     report.add("surface_valid", rep["ok"],
                f"euler characteristics {rep['euler_characteristics']}")
     neck = tqft2d.evaluate_neck(surface)
-    report.add("evaluate_neck", True, _render_ground(be, neck))
+    report.add("evaluate_neck", True, be.ground.render(neck))
     if args.both:
         try:
             col = tqft2d.evaluate_coloring(surface)
         except tqft2d.SurfaceError as exc:
             report.add("evaluate_coloring", False, str(exc))
             return
-        report.add("evaluate_coloring", True, _render_ground(be, col))
+        report.add("evaluate_coloring", True, be.ground.render(col))
         report.add("evaluators_agree", neck == col)
-
-
-def _render_ground(backend, value) -> str:
-    ground = backend.ground
-    if ground.char == 0:
-        return str(value)
-    return ground.render(value)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,13 @@ forces color(target) = color(source) composed with sigma, and an
 inclusion seam forces the upper coloring to restrict to the lower one.
 Each coloring contributes the product over facets of the embedded dot
 products (field levels have handle element 1, so genus drops out).
+
+skein_rewrite applies the local relations at an inclusion seam: a dotless
+disk on the lower side disappears, one on the upper side leaves the
+relative trace of 1 as a dot (the [K:F] rule), a dot moves from the lower
+side to the upper, and two circles of one upper facet merge.  Each finds
+its pattern and states its result as one _edit: the facets it replaces or
+removes, the seam it drops and the seam ends it renames.
 """
 
 from __future__ import annotations
@@ -513,43 +520,27 @@ def evaluate_coloring(s: DecoratedSurface):
 # Skein rewrites
 
 
-REWRITE_RELATIONS = (
-    "remove_f_disk",
-    "remove_k_disk",
-    "push_dot",
-    "merge_k_boundaries",
-)
-
-
-def skein_rewrite(relation: str, s: DecoratedSurface) -> DecoratedSurface:
-    """Apply one local rewrite; raises SurfaceError if the pattern is absent."""
-    if relation == "remove_f_disk":
-        return _remove_disk(s, lower_side=True)
-    if relation == "remove_k_disk":
-        return _remove_disk(s, lower_side=False)
-    if relation == "push_dot":
-        return _push_dot(s)
-    if relation == "merge_k_boundaries":
-        return _merge_k_boundaries(s)
-    raise SurfaceError(f"unknown relation {relation!r}; have {REWRITE_RELATIONS}")
-
-
-def skein_rewrite_check(relation: str, s: DecoratedSurface) -> bool:
-    """Rewrite and compare evaluate_neck on both sides."""
-    t = skein_rewrite(relation, s)
-    return evaluate_neck(s) == evaluate_neck(t)
-
-
-def _find_inclusion_disk(s: DecoratedSurface, lower_side: bool):
-    for i, seam in enumerate(s.seams):
-        if seam.kind != "inclusion":
+def _edit(s: DecoratedSurface, facets: dict, drop_seam=None, rename=None):
+    """s with each facet in facets replaced by id (None removes it), the
+    seam at index drop_seam removed and seam ends renamed through rename;
+    a seam with no renamed end is reused as it is."""
+    rename = rename or {}
+    seams = []
+    for i, se in enumerate(s.seams):
+        if i == drop_seam:
             continue
-        end = seam.end0 if lower_side else seam.end1
-        other = seam.end1 if lower_side else seam.end0
-        f = s.facet(end[0])
-        if f.genus == 0 and not f.dots and len(f.boundary) == 1 and end[0] != other[0]:
-            return i, seam, f, other
-    raise SurfaceError("no matching disk pattern for rewrite")
+        if se.end0 in rename or se.end1 in rename:
+            se = replace(se, end0=rename.get(se.end0, se.end0),
+                         end1=rename.get(se.end1, se.end1))
+        seams.append(se)
+    kept = (facets.get(f.id, f) for f in s.facets)
+    return DecoratedSurface(s.backend, tuple(f for f in kept if f is not None),
+                            tuple(seams))
+
+
+def _without(f: Facet, end) -> Facet:
+    """f without the boundary circle at end."""
+    return replace(f, boundary=tuple(c for c in f.boundary if (f.id, c) != end))
 
 
 def _remove_disk(s: DecoratedSurface, lower_side: bool) -> DecoratedSurface:
@@ -559,47 +550,32 @@ def _remove_disk(s: DecoratedSurface, lower_side: bool) -> DecoratedSurface:
     upper-level disk leaves the relative trace of 1 as a dot on the lower
     facet (the [K:F]-multiplication rule).
     """
-    i, seam, disk, other = _find_inclusion_disk(s, lower_side)
-    be = s.backend
-    keep_facets = []
-    for f in s.facets:
-        if f.id == disk.id:
+    for i, seam in enumerate(s.seams):
+        if seam.kind != "inclusion":
             continue
-        if f.id == other[0]:
-            boundary = tuple(c for c in f.boundary if (f.id, c) != other)
-            dots = f.dots
-            if not lower_side:
-                lo = s.facet(seam.end0[0]).level
-                hi = s.facet(seam.end1[0]).level
-                dots = dots + (be.relative_trace(be.one(hi), hi, lo),)
-            keep_facets.append(replace(f, boundary=boundary, dots=dots))
-        else:
-            keep_facets.append(f)
-    seams = tuple(se for j, se in enumerate(s.seams) if j != i)
-    return DecoratedSurface(be, tuple(keep_facets), seams)
+        end, other = (seam.end0, seam.end1) if lower_side else (seam.end1, seam.end0)
+        disk = s.facet(end[0])
+        if disk.genus or disk.dots or len(disk.boundary) != 1 or end[0] == other[0]:
+            continue
+        host = _without(s.facet(other[0]), other)
+        if not lower_side:
+            be = s.backend
+            trace = be.relative_trace(be.one(disk.level), disk.level, host.level)
+            host = replace(host, dots=host.dots + (trace,))
+        return _edit(s, {disk.id: None, host.id: host}, drop_seam=i)
+    raise SurfaceError("no matching disk pattern for rewrite")
 
 
 def _push_dot(s: DecoratedSurface) -> DecoratedSurface:
     """Move one dot from the lower side of an inclusion seam to the upper."""
-    be = s.backend
     for seam in s.seams:
         if seam.kind != "inclusion":
             continue
-        flo = s.facet(seam.end0[0])
-        fhi = s.facet(seam.end1[0])
-        if flo.id == fhi.id or not flo.dots:
-            continue
-        a, rest = flo.dots[0], flo.dots[1:]
-        moved = be.include(a, flo.level, fhi.level)
-        out = []
-        for f in s.facets:
-            if f.id == flo.id:
-                out.append(replace(f, dots=rest))
-            elif f.id == fhi.id:
-                out.append(replace(f, dots=f.dots + (moved,)))
-            else:
-                out.append(f)
-        return DecoratedSurface(be, tuple(out), s.seams)
+        lo, hi = s.facet(seam.end0[0]), s.facet(seam.end1[0])
+        if lo.id != hi.id and lo.dots:
+            moved = s.backend.include(lo.dots[0], lo.level, hi.level)
+            return _edit(s, {lo.id: replace(lo, dots=lo.dots[1:]),
+                             hi.id: replace(hi, dots=hi.dots + (moved,))})
     raise SurfaceError("no dotted lower facet on an inclusion seam")
 
 
@@ -610,75 +586,55 @@ def _merge_k_boundaries(s: DecoratedSurface) -> DecoratedSurface:
     gains a handle; if they lead to two different lower facets, the facets
     merge (genus adds).  The second seam disappears.
     """
-    be = s.backend
     for i, s1 in enumerate(s.seams):
         if s1.kind != "inclusion":
             continue
         for j in range(i + 1, len(s.seams)):
             s2 = s.seams[j]
-            if s2.kind != "inclusion":
+            if s2.kind != "inclusion" or s1.end1[0] != s2.end1[0]:
                 continue
-            if s1.end1[0] != s2.end1[0]:
-                continue
-            kfac = s.facet(s1.end1[0])
-            f1 = s.facet(s1.end0[0])
-            f2 = s.facet(s2.end0[0])
+            kfac, f1, f2 = (s.facet(end[0]) for end in (s1.end1, s1.end0, s2.end0))
             if kfac.id in (f1.id, f2.id):
                 continue
+            edits = {kfac.id: _without(kfac, s2.end1)}
             if f1.id == f2.id:
-                out = []
-                for f in s.facets:
-                    if f.id == kfac.id:
-                        out.append(replace(
-                            f, boundary=tuple(c for c in f.boundary
-                                              if (f.id, c) != s2.end1)))
-                    elif f.id == f1.id:
-                        out.append(replace(
-                            f, genus=f.genus + 1,
-                            boundary=tuple(c for c in f.boundary
-                                           if (f.id, c) != s2.end0)))
-                    else:
-                        out.append(f)
-                new_seams = tuple(se for t, se in enumerate(s.seams) if t != j)
-                return DecoratedSurface(be, tuple(out), new_seams)
+                edits[f1.id] = replace(_without(f1, s2.end0), genus=f1.genus + 1)
+                return _edit(s, edits, drop_seam=j)
             # merge f2 into f1; circles of f2 get re-homed under f1's id
-            rename = {}
-            new_boundary = list(f1.boundary)
-            for c in f2.boundary:
-                if (f2.id, c) == s2.end0:
-                    continue
-                newc = c
-                while newc in new_boundary:
-                    newc += "_m"
-                rename[(f2.id, c)] = (f1.id, newc)
-                new_boundary.append(newc)
-            merged = replace(
-                f1,
-                genus=f1.genus + f2.genus,
-                dots=f1.dots + f2.dots,
-                boundary=tuple(new_boundary),
-            )
-            out = []
-            for f in s.facets:
-                if f.id == kfac.id:
-                    out.append(replace(
-                        f, boundary=tuple(c for c in f.boundary
-                                          if (f.id, c) != s2.end1)))
-                elif f.id == f1.id:
-                    out.append(merged)
-                elif f.id == f2.id:
-                    continue
-                else:
-                    out.append(f)
-            new_seams = []
-            for t, se in enumerate(s.seams):
-                if t == j:
-                    continue
-                e0 = rename.get(se.end0, se.end0)
-                e1 = rename.get(se.end1, se.end1)
-                new_seams.append(replace(se, end0=e0, end1=e1))
-            return DecoratedSurface(be, tuple(out), tuple(new_seams))
+            boundary, rename = list(f1.boundary), {}
+            for c in _without(f2, s2.end0).boundary:
+                new = c
+                while new in boundary:
+                    new += "_m"
+                rename[(f2.id, c)] = (f1.id, new)
+                boundary.append(new)
+            edits[f1.id] = replace(f1, genus=f1.genus + f2.genus,
+                                   dots=f1.dots + f2.dots, boundary=tuple(boundary))
+            edits[f2.id] = None
+            return _edit(s, edits, drop_seam=j, rename=rename)
     raise SurfaceError("no upper facet with two inclusion circles")
+
+
+_REWRITES = {
+    "remove_f_disk": lambda s: _remove_disk(s, lower_side=True),
+    "remove_k_disk": lambda s: _remove_disk(s, lower_side=False),
+    "push_dot": _push_dot,
+    "merge_k_boundaries": _merge_k_boundaries,
+}
+REWRITE_RELATIONS = tuple(_REWRITES)
+
+
+def skein_rewrite(relation: str, s: DecoratedSurface) -> DecoratedSurface:
+    """Apply one local rewrite; raises SurfaceError if the pattern is absent."""
+    if relation not in REWRITE_RELATIONS:
+        raise SurfaceError(f"unknown relation {relation!r}; have {REWRITE_RELATIONS}")
+    return _REWRITES[relation](s)
+
+
+def skein_rewrite_check(relation: str, s: DecoratedSurface) -> bool:
+    """Rewrite and compare evaluate_neck on both sides."""
+    t = skein_rewrite(relation, s)
+    return evaluate_neck(s) == evaluate_neck(t)
 
 
 # ---------------------------------------------------------------------------
@@ -699,27 +655,25 @@ def plain_torus(backend, level, dots=()) -> DecoratedSurface:
     return DecoratedSurface(backend, (f,), ())
 
 
+def _two_disks(backend, kind, ids, levels, a, b, sigma=None) -> DecoratedSurface:
+    """Disks ids[0] (dot a) and ids[1] (dot b), glued along their circles "c"
+    by one seam of the given kind from ids[0] to ids[1]."""
+    disks = tuple(Facet(fid, 0, level, () if dot is None else (dot,), ("c",))
+                  for fid, level, dot in zip(ids, levels, (a, b)))
+    seam = Seam(kind, (ids[0], "c"), (ids[1], "c"), sigma)
+    return DecoratedSurface(backend, disks, (seam,))
+
+
 def seamed_sphere(backend, low_level, high_level, a=None, b=None) -> DecoratedSurface:
     """S^2(a, b): lower-level disk with dot a, upper-level disk with dot b."""
-    lo = backend.level_index(low_level)
-    hi = backend.level_index(high_level)
-    da = (a,) if a is not None else ()
-    db = (b,) if b is not None else ()
-    f1 = Facet("lo", 0, lo, da, ("c",))
-    f2 = Facet("hi", 0, hi, db, ("c",))
-    seam = Seam("inclusion", ("lo", "c"), ("hi", "c"))
-    return DecoratedSurface(backend, (f1, f2), (seam,))
+    levels = (backend.level_index(low_level), backend.level_index(high_level))
+    return _two_disks(backend, "inclusion", ("lo", "hi"), levels, a, b)
 
 
 def sphere_with_defect(backend, level, sigma, a=None, b=None) -> DecoratedSurface:
     """Sphere with one sigma-circle; dot a in the source disk, b in the target."""
     level = backend.level_index(level)
-    da = (a,) if a is not None else ()
-    db = (b,) if b is not None else ()
-    f1 = Facet("src", 0, level, da, ("c",))
-    f2 = Facet("tgt", 0, level, db, ("c",))
-    seam = Seam("defect", ("src", "c"), ("tgt", "c"), sigma)
-    return DecoratedSurface(backend, (f1, f2), (seam,))
+    return _two_disks(backend, "defect", ("src", "tgt"), (level, level), a, b, sigma)
 
 
 def genus2_three_defects(backend, level, s1, s2, s3) -> DecoratedSurface:
@@ -739,7 +693,6 @@ def disjoint_union(s1: DecoratedSurface, s2: DecoratedSurface) -> DecoratedSurfa
     if s1.backend is not s2.backend:
         raise SurfaceError("disjoint union needs a shared backend")
     facets = list(s1.facets)
-    seams = list(s1.seams)
     taken = {f.id for f in facets}
     rename = {}
     for f in s2.facets:
@@ -749,13 +702,10 @@ def disjoint_union(s1: DecoratedSurface, s2: DecoratedSurface) -> DecoratedSurfa
         taken.add(nid)
         rename[f.id] = nid
         facets.append(replace(f, id=nid))
-    for se in s2.seams:
-        seams.append(replace(
-            se,
-            end0=(rename[se.end0[0]], se.end0[1]),
-            end1=(rename[se.end1[0]], se.end1[1]),
-        ))
-    return DecoratedSurface(s1.backend, tuple(facets), tuple(seams))
+    seams = (*s1.seams, *(replace(se, end0=(rename[se.end0[0]], se.end0[1]),
+                                  end1=(rename[se.end1[0]], se.end1[1]))
+                          for se in s2.seams))
+    return DecoratedSurface(s1.backend, tuple(facets), seams)
 
 
 # ---------------------------------------------------------------------------

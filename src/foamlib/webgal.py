@@ -24,6 +24,7 @@ presentations).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -141,6 +142,14 @@ class Composition:
         return sum(self.parts)
 
 
+def _composition_of(N: int, parts) -> Composition:
+    """parts as a Composition; WebError unless they sum to N."""
+    comp = parts if isinstance(parts, Composition) else Composition(tuple(parts))
+    if comp.total != N:
+        raise WebError(f"parts {comp.parts} do not sum to N = {N}")
+    return comp
+
+
 def q_factorial(m: int) -> LaurentQ:
     out = LaurentQ.one()
     for i in range(1, m + 1):
@@ -155,9 +164,7 @@ def q_multinomial(N: int, parts) -> LaurentQ:
     cancelled first: the product of [i] for a < i <= N, divided by the
     other parts' q-factorials.
     """
-    comp = parts if isinstance(parts, Composition) else Composition(tuple(parts))
-    if comp.total != N:
-        raise WebError(f"parts {comp.parts} do not sum to N = {N}")
+    comp = _composition_of(N, parts)
     rest = sorted(comp.parts)
     top = rest.pop() if rest else 0
     out = LaurentQ.one()
@@ -169,12 +176,8 @@ def q_multinomial(N: int, parts) -> LaurentQ:
 
 
 def multinomial(N: int, parts) -> int:
-    comp = parts if isinstance(parts, Composition) else Composition(tuple(parts))
-    if comp.total != N:
-        raise WebError(f"parts {comp.parts} do not sum to N = {N}")
+    comp = _composition_of(N, parts)
     out = 1
-    import math
-
     rest = N
     for a in comp.parts:
         out *= math.comb(rest, a)
@@ -229,9 +232,7 @@ def _orbits(points: list, generators: list[dict]) -> list[list]:
 
 def web_decomposition_from_action(N: int, parts, generators: list[dict]) -> WebDecomposition:
     """Orbit decomposition given the Galois action on abstract roots 0..N-1."""
-    comp = parts if isinstance(parts, Composition) else Composition(tuple(parts))
-    if comp.total != N:
-        raise WebError(f"parts {comp.parts} do not sum to N = {N}")
+    comp = _composition_of(N, parts)
     points = list(_ordered_partitions(tuple(range(N)), comp.parts))
     orbits = _orbits(points, generators)
     sizes: dict[int, int] = {}
