@@ -557,6 +557,8 @@ def test_readme_commands_parse():
 _README_JSON_DIGESTS = {
     "foamlib tqft eval --surface demos/surfaces/genus2_three_defects.json --both":
         "b720b34c2761a9757e11f59460b9f751c031b5d175f51d1751b23af3a4fb9904",
+    "foamlib tqft eval --surface demos/surfaces/cubic_defects.json --both":
+        "0a0a3c7d3fb8771e792bfc1197e8d96a3a4fafd93a1f4078d34e2a952f7d48bb",
     "foamlib tqft eval --surface demos/surfaces/torus_sigma.json":
         "d40dd84bd06b1ff160c7d681bab98b6a8b217e18634c8fb71229655e28ed4460",
     "foamlib verify sylvester --m 2 --n 1 --p 1 --q 0":
