@@ -10,20 +10,41 @@ Three kinds:
 
   FiniteFieldTower      GF(p^d0) < GF(p^d1) < ... with canonical traces;
                         fully automatic (moduli, embeddings, Galois action
-                        all computed).  Every level map (inclusion,
-                        relative trace, pull-back, Frobenius) is a cached
-                        GF(p) matrix on the prime-field coefficients.
+                        all computed).
   RationalNumberField   QQ < QQ[x]/(f); Galois operations need the caller
                         to supply all roots of f as polynomials in the
                         generator (exact factorization over number fields
                         is deliberately out of scope).
   TableAlgebra          an explicit structure-constant algebra with a
-                        trace vector; the ground field is QQ or Z/p.
+                        trace vector; the ground field is QQ or Z/p.  It
+                        keeps its own arithmetic and trace, has no level
+                        maps and no Galois operations (they raise
+                        BackendError).
 
 An element is a tuple of coefficients in the backend's prime_field (GF(p)
 for a tower, QQ for a number field, the ground for a table algebra), except
-at the rational level of a number field, whose elements are Fractions.  An
-automorphism is therefore one matrix over the prime field, and applying,
+at the rational level of a number field, whose elements are Fractions.
+
+The level layer of the two field kinds is written once, in
+FrobeniusBackend.  Level i is the scalar domain fields[i] (GF(p^d_i); QQ
+and QQ[x]/(f)), which gives zero, one, add and mul; basis is the powers of
+generator(level).  Every level map is linear over the prime field on
+prime_coeffs, so it is one matrix over prime_field, built on first use and
+cached: include, relative_trace and trace_to_ground are one matrix-vector
+product, scalar_mul multiplies by the inclusion of the scalar, and
+_pull_back is a linear solve on the inclusion matrix, which raises
+ValueError for an element outside the image.  A field kind supplies the
+matrices and the facts that differ by kind:
+
+  dim(level)                     d_i / d0; 1 and deg f
+  _inclusion_matrix(lo, hi)      the steps to the smallest roots of the
+                                 moduli; one column, the image of 1
+  _trace_matrix(hi, lo)          Frobenius sums; one row, tr(x^k) from
+                                 companion_trace
+  prime_coeffs(level, a)         a itself; (a,) for a rational a
+  _from_prime_coeffs(level, v)   v itself; v[0] at the rational level
+
+An automorphism is one matrix over the prime field, and applying,
 composing, inverting and the identity test are written once, in
 Automorphism; a kind supplies only its constructor (frobenius_automorphism,
 automorphism_by_root, matrix_automorphism), and identity_automorphism is
@@ -34,18 +55,12 @@ automorphism_embedding_action, minpoly_over_ground_in_top and
 idempotents.  Each embedding of a level into the splitting field is fixed
 by one root, the image of the level generator, and sends an element to
 its prime-field coefficients evaluated at that root.  A field backend
-supplies only the facts that differ by kind:
+supplies the Galois facts that differ by kind:
 
   splitting_field()         the top field of a tower; QQ[x]/(f)
   generator(level)          the level generator (1 for QQ)
   embedding_roots(level)    G^(q0^s), s < dim, G the generator's image in
                             the top field; the supplied roots of f
-  prime_coeffs(level, a)    a itself; (a,) for a rational a
-  _pull_back(a, top, 0)     a solve on the inclusion matrix; reading off a
-                            constant
-
-A table algebra supplies none of them, and its Galois operations raise
-BackendError.
 
 All backends are validated at construction and immutable afterwards;
 every operation is a pure function.  Level 0 of a tower is the ground
@@ -155,7 +170,9 @@ class IdempotentIndex:
 
 
 class FrobeniusBackend:
-    """Common interface; concrete kinds fill in the methods they support."""
+    """Common interface, with the level layer and the Galois layer of the
+    field kinds; a kind supplies the hooks named in the module docstring,
+    and a table algebra overrides the arithmetic and refuses level maps."""
 
     kind: str
     ground = None  # scalar domain
@@ -351,45 +368,85 @@ class FrobeniusBackend:
         return IdempotentIndex(level, omega, self.minpoly_over_ground_in_top(level),
                                roots, tuple(lagrange_basis(omega, roots)))
 
-    # --- things subclasses must provide -----------------------------------
-
-    def dim(self, level: int) -> int:
-        raise NotImplementedError
-
-    def basis(self, level: int) -> list:
-        raise NotImplementedError
+    # --- the level layer of the field kinds (see the module docstring) ----
 
     def zero(self, level: int):
-        raise NotImplementedError
+        return self.fields[level].zero
 
     def one(self, level: int):
-        raise NotImplementedError
+        return self.fields[level].one
 
     def add(self, level: int, a, b):
-        raise NotImplementedError
+        return self.fields[level].add(a, b)
 
     def mul(self, level: int, a, b):
-        raise NotImplementedError
+        return self.fields[level].mul(a, b)
+
+    def basis(self, level: int) -> list:
+        # the generator generates the level over the ground
+        return _powers(self.fields[level], self.generator(level), self.dim(level))
 
     def scalar_mul(self, level: int, c, a):
-        raise NotImplementedError
+        # a ground scalar acts through the inclusion ground -> level
+        return self.fields[level].mul(self._apply("inclusion", 0, level, c), a)
+
+    def _map(self, kind: str, src: int, dst: int) -> tuple:
+        """The prime-field matrix of a level map, as a tuple of rows."""
+        key = (kind, src, dst)
+        if key not in self._maps:
+            self._maps[key] = getattr(self, f"_{kind}_matrix")(src, dst)
+        return self._maps[key]
+
+    def _apply(self, kind: str, src: int, dst: int, a):
+        """The level map's matrix applied to a, an element of level src."""
+        out = _mat_vec(self._map(kind, src, dst), self.prime_coeffs(src, a),
+                       self.prime_field.char)
+        return self._from_prime_coeffs(dst, out)
+
+    def include(self, a, from_level, to_level):
+        from_level = self.level_index(from_level)
+        to_level = self.level_index(to_level)
+        if from_level == to_level:
+            return a
+        if from_level > to_level:
+            raise BackendError("inclusion must go up the tower")
+        return self._apply("inclusion", from_level, to_level, a)
+
+    def relative_trace(self, a, from_level, to_level):
+        from_level = self.level_index(from_level)
+        to_level = self.level_index(to_level)
+        if from_level < to_level:
+            raise BackendError("relative trace must go down the tower")
+        if from_level == to_level:
+            return a
+        return self._apply("trace", from_level, to_level, a)
 
     def trace_to_ground(self, level: int, a):
+        return self.relative_trace(a, level, 0)
+
+    def _pull_back(self, a, from_level: int, to_level: int):
+        """Invert the inclusion; ValueError if a is not in its image."""
+        coeffs = solve(self.prime_field, self._map("inclusion", to_level, from_level),
+                       self.prime_coeffs(from_level, a))
+        return self._from_prime_coeffs(to_level, tuple(coeffs))
+
+    def prime_coeffs(self, level: int, a):
+        """a's coefficient tuple over prime_field."""
+        return a
+
+    def _from_prime_coeffs(self, level: int, coeffs):
+        """The element of the level with these prime-field coefficients."""
+        return coeffs
+
+    # --- things every kind provides ----------------------------------------
+
+    def dim(self, level: int) -> int:
         raise NotImplementedError
 
     def parse_element(self, level, text: str):
         raise NotImplementedError
 
-    # optional capabilities
-
-    def include(self, a, from_level: int, to_level: int):
-        raise BackendError(f"{self.kind} backend has no inclusions")
-
-    def relative_trace(self, a, from_level, to_level):
-        raise BackendError(f"{self.kind} backend has no relative traces")
-
-    # Galois hooks: field backends also supply generator(level),
-    # prime_coeffs(level, a) and _pull_back(a, top, 0)
+    # Galois hooks: field backends also supply generator(level)
 
     def splitting_field(self) -> ExtField:
         raise BackendError(f"{self.kind} backend has no splitting field")
@@ -410,17 +467,17 @@ class FiniteFieldTower(FrobeniusBackend):
     is GF(p)-linear on these tuples, so each is one matrix over GF(p),
     kept as a tuple of rows in `_maps` and built on first use:
 
-      ("incl", lo, hi)   column k is the image of g_lo^k in level hi.  The
-                         step lo -> lo+1 sends g_lo to the smallest root of
-                         lo's modulus in the next level; a longer inclusion
-                         is the product of its steps, so inclusions compose.
-      ("trace", hi, lo)  column k is sum_{s<r} (g_hi^k)^(q_lo^s), r the
-                         degree of hi over lo, pulled back to level lo.
+      ("inclusion", lo, hi)  column k is the image of g_lo^k in level hi.
+                             The step lo -> lo+1 sends g_lo to the smallest
+                             root of lo's modulus in the next level; a
+                             longer inclusion is the product of its steps,
+                             so inclusions compose.
+      ("trace", hi, lo)      column k is sum_{s<r} (g_hi^k)^(q_lo^s), r the
+                             degree of hi over lo, pulled back to level lo.
+      ("frobenius", i, e)    column k is (g_i^k)^(q0^e).
 
-    include, relative_trace and trace_to_ground are then one matrix-vector
-    product mod p, scalar_mul is an inclusion and one product, and
-    _pull_back is a linear solve on the inclusion matrix, which raises
-    ValueError for an element outside the image.
+    The level layer of FrobeniusBackend applies them mod p; a trace matrix
+    is built by pulling the Frobenius sums back through _pull_back.
     """
 
     kind = "finite"
@@ -449,49 +506,13 @@ class FiniteFieldTower(FrobeniusBackend):
         self.level_names = tuple(names)
         self._maps: dict[tuple[str, int, int], tuple] = {}
 
-    # --- level plumbing --------------------------------------------------
-
     def field(self, level: int) -> ExtField:
         return self.fields[level]
 
     def dim(self, level: int) -> int:
         return self.degrees[level] // self.degrees[0]
 
-    def basis(self, level: int) -> list:
-        # g generates the level over the prime field, hence over the ground
-        fld = self.fields[level]
-        g = fld.gen()
-        out = [fld.one]
-        for _ in range(self.dim(level) - 1):
-            out.append(fld.mul(out[-1], g))
-        return out
-
-    def zero(self, level: int):
-        return self.fields[level].zero
-
-    def one(self, level: int):
-        return self.fields[level].one
-
-    def add(self, level: int, a, b):
-        return self.fields[level].add(a, b)
-
-    def mul(self, level: int, a, b):
-        return self.fields[level].mul(a, b)
-
-    def scalar_mul(self, level: int, c, a):
-        # ground scalar c acts through the inclusion ground -> level
-        return self.fields[level].mul(self.include(c, 0, level), a)
-
-    # --- level maps ------------------------------------------------------
-
-    def _map(self, kind: str, src: int, dst: int) -> tuple:
-        """The prime-field matrix of a level map, as a tuple of rows."""
-        key = (kind, src, dst)
-        if key not in self._maps:
-            build = {"incl": self._inclusion_matrix, "trace": self._trace_matrix,
-                     "frob": self._frobenius_matrix}[kind]
-            self._maps[key] = build(src, dst)
-        return self._maps[key]
+    # --- level map matrices ----------------------------------------------
 
     def _inclusion_matrix(self, lo: int, hi: int) -> tuple:
         if lo == hi:
@@ -500,11 +521,8 @@ class FiniteFieldTower(FrobeniusBackend):
         # the inclusion lo -> hi-1
         fld = self.fields[hi]
         root = roots_in_extension(self.fields[hi - 1].modulus, fld.degree)[0]
-        powers = [fld.one]
-        for _ in range(self.degrees[hi - 1] - 1):
-            powers.append(fld.mul(powers[-1], root))
-        step = _transpose(powers)
-        below = self._map("incl", lo, hi - 1)
+        step = _transpose(_powers(fld, root, self.degrees[hi - 1]))
+        below = self._map("inclusion", lo, hi - 1)
         return _transpose([_mat_vec(step, col, self.p) for col in zip(*below)])
 
     def _trace_matrix(self, hi: int, lo: int) -> tuple:
@@ -522,40 +540,15 @@ class FiniteFieldTower(FrobeniusBackend):
     def _frobenius_matrix(self, level: int, e: int) -> tuple:
         fld = self.fields[level]
         q = self.p ** (self.degrees[0] * e)
-        return _transpose([fld.power(fld.from_coeffs([0] * k + [1]), q)
-                           for k in range(self.degrees[level])])
-
-    def include(self, a, from_level, to_level):
-        from_level = self.level_index(from_level)
-        to_level = self.level_index(to_level)
-        if from_level == to_level:
-            return a
-        if from_level > to_level:
-            raise BackendError("inclusion must go up the tower")
-        return _mat_vec(self._map("incl", from_level, to_level), a, self.p)
-
-    def relative_trace(self, a, from_level, to_level):
-        from_level = self.level_index(from_level)
-        to_level = self.level_index(to_level)
-        if from_level < to_level:
-            raise BackendError("relative trace must go down the tower")
-        if from_level == to_level:
-            return a
-        return _mat_vec(self._map("trace", from_level, to_level), a, self.p)
-
-    def trace_to_ground(self, level: int, a):
-        return self.relative_trace(a, level, 0)
-
-    def _pull_back(self, a, from_level: int, to_level: int):
-        """Invert the inclusion; ValueError if a is not in its image."""
-        return tuple(solve(zmod(self.p), self._map("incl", to_level, from_level), a))
+        return _transpose(_powers(fld, fld.power(fld.gen(), q), self.degrees[level]))
 
     # --- automorphisms ----------------------------------------------------
 
     def frobenius_automorphism(self, level, power: int = 1) -> Automorphism:
         """a -> a^(q0^power), q0 = |ground|."""
         level = self.level_index(level)
-        return Automorphism(self, level, self._map("frob", level, power % self.dim(level)))
+        return Automorphism(self, level,
+                            self._map("frobenius", level, power % self.dim(level)))
 
     # --- Galois hooks ----------------------------------------------------
 
@@ -564,9 +557,6 @@ class FiniteFieldTower(FrobeniusBackend):
 
     def generator(self, level: int):
         return self.fields[level].gen()
-
-    def prime_coeffs(self, level: int, a):
-        return a
 
     def embedding_roots(self, level) -> list:
         """G^(q0^s) for s < dim(level), G the level generator in the top field."""
@@ -591,6 +581,14 @@ class FiniteFieldTower(FrobeniusBackend):
 
 
 class RationalNumberField(FrobeniusBackend):
+    """QQ < QQ[x]/(f), f monic over QQ, with the trace of QQ[x]/(f) over QQ.
+
+    Level 0 keeps Fraction elements and level 1 tuples of deg f Fractions.
+    Its level maps are one column, the image of 1, and one row, tr(x^k),
+    built once by companion_trace; the level layer of FrobeniusBackend
+    applies them.
+    """
+
     kind = "numberfield"
 
     def __init__(self, f: UniPoly, roots: Sequence[UniPoly] | None = None):
@@ -600,7 +598,9 @@ class RationalNumberField(FrobeniusBackend):
             raise BackendError("defining polynomial must be monic of degree >= 1")
         self.f = f
         self.field = NumberField(f)
+        self.fields = (QQ_DOMAIN, self.field)
         self.ground = self.prime_field = QQ_DOMAIN
+        self._maps: dict[tuple[str, int, int], tuple] = {}
         self.level_names = ("k", "F")
         self.roots = None
         if roots is not None:
@@ -642,54 +642,14 @@ class RationalNumberField(FrobeniusBackend):
     def dim(self, level: int) -> int:
         return 1 if level == 0 else self.f.degree
 
-    def basis(self, level: int) -> list:
-        if level == 0:
-            return [Fraction(1)]
-        g = self.field.gen()
-        out = [self.field.one]
-        for _ in range(self.f.degree - 1):
-            out.append(self.field.mul(out[-1], g))
-        return out
+    def _inclusion_matrix(self, lo: int, hi: int) -> tuple:
+        """One column, the image of 1; lo is 0, the only level below another."""
+        return _transpose([self.prime_coeffs(hi, self.one(hi))])
 
-    def zero(self, level: int):
-        return Fraction(0) if level == 0 else self.field.zero
-
-    def one(self, level: int):
-        return Fraction(1) if level == 0 else self.field.one
-
-    def add(self, level: int, a, b):
-        return a + b if level == 0 else self.field.add(a, b)
-
-    def mul(self, level: int, a, b):
-        return a * b if level == 0 else self.field.mul(a, b)
-
-    def scalar_mul(self, level: int, c, a):
-        if level == 0:
-            return Fraction(c) * a
-        return self.field.mul(self.field.of(c), a)
-
-    def trace_to_ground(self, level: int, a):
-        if level == 0:
-            return a
-        return companion_trace(UniPoly(QQ_DOMAIN, a), self.f)
-
-    def include(self, a, from_level, to_level):
-        from_level = self.level_index(from_level)
-        to_level = self.level_index(to_level)
-        if from_level == to_level:
-            return a
-        if (from_level, to_level) != (0, 1):
-            raise BackendError("inclusion must go up")
-        return self.field.of(a)
-
-    def relative_trace(self, a, from_level, to_level):
-        from_level = self.level_index(from_level)
-        to_level = self.level_index(to_level)
-        if from_level == to_level:
-            return a
-        if (from_level, to_level) != (1, 0):
-            raise BackendError("relative trace must go down")
-        return self.trace_to_ground(1, a)
+    def _trace_matrix(self, hi: int, lo: int) -> tuple:
+        """One row, tr(x^k) for k < deg f."""
+        return (tuple(companion_trace(UniPoly(QQ_DOMAIN, b), self.f)
+                      for b in self.basis(hi)),)
 
     # --- Galois -----------------------------------------------------------
 
@@ -702,10 +662,7 @@ class RationalNumberField(FrobeniusBackend):
     def _power_matrix(self, root) -> tuple:
         """The matrix of the map sending the generator to root: column k is
         root^k."""
-        powers = [self.field.one]
-        for _ in range(self.f.degree - 1):
-            powers.append(self.field.mul(powers[-1], root))
-        return _transpose(powers)
+        return _transpose(_powers(self.field, root, self.f.degree))
 
     def automorphism_by_root(self, index: int) -> Automorphism:
         """The automorphism sending the generator to roots[index]."""
@@ -723,18 +680,15 @@ class RationalNumberField(FrobeniusBackend):
     def prime_coeffs(self, level: int, a):
         return (a,) if level == 0 else a
 
+    def _from_prime_coeffs(self, level: int, coeffs):
+        return coeffs[0] if level == 0 else coeffs
+
     def embedding_roots(self, level) -> list:
         level = self.level_index(level)
         if level == 0:
             return [self.field.one]
         self._need_roots()
         return list(self.roots)
-
-    def _pull_back(self, a, from_level: int, to_level: int):
-        """Invert the inclusion QQ -> F on an element known to be rational."""
-        if any(c != 0 for c in a[1:]):
-            raise ValueError("element does not lie in the subfield image")
-        return a[0]
 
     def parse_element(self, level, text: str):
         level = self.level_index(level)
@@ -849,6 +803,12 @@ class TableAlgebra(FrobeniusBackend):
             acc = dom.add(acc, dom.mul(c, t))
         return acc
 
+    def include(self, a, from_level, to_level):
+        raise BackendError(f"{self.kind} backend has no inclusions")
+
+    def relative_trace(self, a, from_level, to_level):
+        raise BackendError(f"{self.kind} backend has no relative traces")
+
     def matrix_automorphism(self, matrix) -> Automorphism:
         dom = self.ground
         if not (isinstance(matrix, (list, tuple)) and len(matrix) == self.n and all(
@@ -902,14 +862,24 @@ class TableAlgebra(FrobeniusBackend):
         }
 
 
+def _powers(dom, x, n: int) -> list:
+    """1, x, ..., x^(n-1) in the scalar domain dom."""
+    out = [dom.one]
+    for _ in range(n - 1):
+        out.append(dom.mul(out[-1], x))
+    return out
+
+
 def _transpose(cols) -> tuple:
     """The rows of the matrix with the given columns."""
     return tuple(zip(*cols))
 
 
 def _mat_vec(rows, a, p: int) -> tuple:
-    """The matrix with the given rows times the column a, mod p."""
-    return tuple(sum(map(mul, row, a)) % p for row in rows)
+    """The matrix with the given rows times the column a, mod p unless p = 0."""
+    if p:
+        return tuple(sum(map(mul, row, a)) % p for row in rows)
+    return tuple(sum(map(mul, row, a)) for row in rows)
 
 
 def _identity_matrix(dom, n: int) -> tuple:

@@ -239,7 +239,7 @@ def evaluate_neck(s: DecoratedSurface, dual_pairs=None):
 
 
 def _cut(s: DecoratedSurface, dual_pairs=None):
-    """The backend (with any dual-pair override) and one piece per facet.
+    """The backend and one piece per facet.
 
     A piece is (level, element, ends): the element is the product of the
     facet's dots and genus handles, and each end is (seam index,
@@ -247,9 +247,7 @@ def _cut(s: DecoratedSurface, dual_pairs=None):
     """
     require_valid(s)
     be = s.backend
-    if dual_pairs is not None:
-        be = _with_dual_override(be, dual_pairs)
-    ins = [_seam_insertions(s, seam, be) for seam in s.seams]
+    ins = [_seam_insertions(s, seam, be, dual_pairs) for seam in s.seams]
     circle_seam: dict[tuple[str, str], tuple[int, int]] = {}
     for i, seam in enumerate(s.seams):
         circle_seam[seam.end0] = (i, 0)
@@ -410,31 +408,13 @@ def _join(be, level, elem, open_ends, i, lst):
     return be.mul(level, elem, acc)
 
 
-class _with_dual_override:
-    """Proxy that substitutes fixed dual pairs for chosen levels.
+def _seam_insertions(s, seam, be, dual_pairs):
+    """The insertion lists at end0 and end1; validate fixed the kind.
 
-    Only _seam_insertions asks it for dual pairs, so the override reaches
-    the self-seam folds and the state sum, not the seam maps of _absorb.
+    dual_pairs ({level: DualBasisPair}) overrides the backend's dual pair.
     """
-
-    def __init__(self, backend, pairs):
-        self._backend = backend
-        self._pairs = pairs
-
-    def dual_bases(self, level):
-        level = self._backend.level_index(level)
-        if level in self._pairs:
-            return self._pairs[level]
-        return self._backend.dual_bases(level)
-
-    def __getattr__(self, name):
-        return getattr(self._backend, name)
-
-
-def _seam_insertions(s, seam, be):
-    """The insertion lists at end0 and end1; validate fixed the kind."""
     level = s.facet(seam.end0[0]).level
-    pair = be.dual_bases(level)
+    pair = (dual_pairs or {}).get(level) or be.dual_bases(level)
     if seam.kind == "plain":
         return list(pair.xs), list(pair.ys)
     if seam.kind == "defect":

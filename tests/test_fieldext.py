@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from foamlib.exactalg import UniPoly, parse_unipoly
 from foamlib.exactalg.ffield import roots_in_extension
 from foamlib.exactalg.scalars import QQ_DOMAIN, zmod
+from foamlib.exactalg.unipoly import companion_trace
 from foamlib.fieldext import (
     BackendError,
     FiniteFieldTower,
@@ -189,6 +190,67 @@ def test_pull_back_refuses_elements_outside_the_image(name, data):
     assume(fld.power(a, tower.p ** tower.degrees[lo]) != a)
     with pytest.raises(ValueError):
         tower._pull_back(a, hi, lo)
+
+
+# ------------------------------------------------ number field level maps
+
+NUMBER_FIELDS = {
+    "Q(sqrt2)": "x^2-2",
+    "cyclic cubic": "x^3-3*x+1",
+    "Q(zeta8)": "x^4+1",
+    "degree 1": "x-3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(NUMBER_FIELDS))
+def test_number_field_trace_row_is_the_companion_trace(name):
+    f = parse_unipoly(NUMBER_FIELDS[name], QQ_DOMAIN)
+    nf = RationalNumberField(f)
+    rng = random.Random(24)
+    for a in nf.basis(1) + [nf.random_element(1, rng) for _ in range(20)]:
+        t = nf.trace_to_ground(1, a)
+        assert type(t) is Fraction
+        assert t == companion_trace(UniPoly(QQ_DOMAIN, a), f)
+        assert nf.relative_trace(a, 1, 0) == t
+
+
+@pytest.mark.parametrize("name", sorted(NUMBER_FIELDS))
+def test_number_field_inclusion_and_pull_back(name):
+    f = parse_unipoly(NUMBER_FIELDS[name], QQ_DOMAIN)
+    nf = RationalNumberField(f)
+    rng = random.Random(24)
+    scalars = [Fraction(0), Fraction(1), Fraction(-7, 3)]
+    scalars += [nf.random_element(0, rng) for _ in range(5)]
+    for c in scalars:
+        image = nf.include(c, 0, 1)
+        assert image == nf.field.of(c)
+        assert all(type(x) is Fraction for x in image)
+        back = nf._pull_back(image, 1, 0)
+        assert type(back) is Fraction and back == c
+        # the other coefficients are irrational: no rational pull-back
+        for k in range(1, f.degree):
+            with pytest.raises(ValueError):
+                nf._pull_back(nf.add(1, image, nf.basis(1)[k]), 1, 0)
+
+
+@pytest.mark.parametrize("be", [
+    FiniteFieldTower(3, [1, 2]),
+    FiniteFieldTower(2, [2, 4, 8]),
+    make_backend({"kind": "numberfield", "f": "x^2-2"}),
+], ids=["GF(3)<GF(9)", "GF(4)<GF(16)<GF(256)", "Q(sqrt2)"])
+def test_level_maps_refuse_the_wrong_direction(be):
+    with pytest.raises(BackendError, match="inclusion must go up the tower"):
+        be.include(be.one(1), 1, 0)
+    with pytest.raises(BackendError, match="relative trace must go down the tower"):
+        be.relative_trace(be.one(0), 0, 1)
+
+
+def test_table_algebra_has_no_level_maps():
+    alg = nilpotent_square_algebra()
+    with pytest.raises(BackendError, match="no inclusions"):
+        alg.include(alg.one(0), 0, 0)
+    with pytest.raises(BackendError, match="no relative traces"):
+        alg.relative_trace(alg.one(0), 0, 0)
 
 
 # ------------------------------------------------------------------ dual bases
