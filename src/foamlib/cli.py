@@ -4,6 +4,12 @@ Reports are deterministic for fixed inputs and seed.  --json emits the
 RunReport as JSON; wall time is reported on stderr only, so the JSON
 output of two identical invocations is byte-identical.  Exit codes:
 0 all assertions pass, 1 an assertion failed, 2 parse/input error.
+
+run() may be called any number of times in one process.  It parses with
+one parser, built on the first call and kept, since parsing leaves a
+parser unchanged; every call still parses its argv into a new namespace,
+checks it and runs its handler, and nothing computed is kept between
+calls.  build_parser() returns a new parser each time.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .exactalg.multipoly import parse_poly, parse_unipoly
 from .exactalg.scalars import QQ_DOMAIN, zmod
@@ -370,21 +377,32 @@ def _size(text: str) -> int:
 _NEEDED = {("mf", "trace"): "p", ("web", "decompose"): "f"}
 
 
-# Options that only some verify identities read: option -> (its default,
-# the identities that read it).  Any other value elsewhere is refused.
-_READ_BY = {"p": (None, ("sylvester",)), "q": (None, ("sylvester",)),
-            "f": (None, ("chenlouck",)),
-            "mode": ("symbolic", ("exchange", "chenlouck", "dksv"))}
+# Which action reads which option, for the options that not every action of
+# their command reads: command -> option -> (its default, the actions that
+# read it).  Any other value on another action is refused.
+_READ_BY = {
+    "verify": {"--n": (2, ("sylvester", "exchange", "dksv")),
+               "--p": (None, ("sylvester",)), "--q": (None, ("sylvester",)),
+               "--d": (1, ("chenlouck", "dksv")),
+               "--size-x": (1, ("dksv",)), "--size-e": (3, ("dksv",)),
+               "--f": (None, ("chenlouck",)),
+               "--mode": ("symbolic", ("exchange", "chenlouck", "dksv"))},
+    "mf": {"--p": (None, ("trace",)), "--trials": (10, ("hessian",))},
+    "web": {"--N": (3, ("qmoy",)), "--p": (2, ("decompose",)),
+            "--f": (None, ("decompose",))},
+    "wreath": {"-n": (2, ("facts", "classes", "oor"))},
+}
 
 
 def _check_needed(ap: argparse.ArgumentParser, args) -> None:
-    need = _NEEDED.get((args.command, getattr(args, "action", None)))
+    action = getattr(args, "identity", getattr(args, "action", None))
+    need = _NEEDED.get((args.command, action))
     if need is not None and getattr(args, need) is None:
-        ap.error(f"{args.command} {args.action} needs --{need}")
-    if args.command == "verify":
-        for option, (default, readers) in _READ_BY.items():
-            if args.identity not in readers and getattr(args, option) != default:
-                ap.error(f"verify {args.identity} does not read --{option}")
+        ap.error(f"{args.command} {action} needs --{need}")
+    for option, (default, readers) in _READ_BY.get(args.command, {}).items():
+        dest = option.lstrip("-").replace("-", "_")
+        if action not in readers and getattr(args, dest) != default:
+            ap.error(f"{args.command} {action} does not read {option}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -454,8 +472,14 @@ HANDLERS = {
 }
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of run(), built once per process."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    ap = build_parser()
+    ap = _parser()
     try:
         args = ap.parse_args(argv)
         _check_needed(ap, args)

@@ -33,8 +33,12 @@ prime_coeffs, so it is one matrix over prime_field, built on first use and
 cached: include, relative_trace and trace_to_ground are one matrix-vector
 product, scalar_mul multiplies by the inclusion of the scalar, and
 _pull_back is a linear solve on the inclusion matrix, which raises
-ValueError for an element outside the image.  A field kind supplies the
-matrices and the facts that differ by kind:
+ValueError for an element outside the image.  An element given by its
+coordinates over the ground, sum_k c_k g^k (random_element, the dual
+bases), is one product with the level's coordinate matrix, whose column
+(k, j) is e_j g^k for e_j the prime basis of the ground; over GF(p) or QQ
+it is the identity.  A table algebra's coordinates are its element.  A
+field kind supplies the matrices and the facts that differ by kind:
 
   dim(level)                     d_i / d0; 1 and deg f
   _inclusion_matrix(lo, hi)      the steps to the smallest roots of the
@@ -227,13 +231,8 @@ class FrobeniusBackend:
             inv = mat_inverse(self.ground, gram)
         except ValueError:
             raise BackendError(f"degenerate trace pairing at level {level}") from None
-        ys = []
-        for i in range(len(basis)):
-            acc = self.zero(level)
-            for j, bj in enumerate(basis):
-                acc = self.add(level, acc, self.scalar_mul(level, inv[i][j], bj))
-            ys.append(acc)
-        return DualBasisPair(tuple(basis), tuple(ys))
+        ys = tuple(self._from_coordinates(level, row) for row in inv)
+        return DualBasisPair(tuple(basis), ys)
 
     def handle_element(self, level):
         """h = sum_i x_i y_i; independent of the chosen dual pair, so cached
@@ -262,20 +261,18 @@ class FrobeniusBackend:
             except ValueError:
                 continue
             break
-        xs = []
+        # pair.xs is the basis, so row i of M is the coordinates of x'_i
+        xs = tuple(self._from_coordinates(level, row) for row in M)
         ys = []
         for i in range(n):
-            ax = self.zero(level)
             ay = self.zero(level)
             for j in range(n):
-                ax = self.add(level, ax, self.scalar_mul(level, M[i][j], pair.xs[j]))
                 # (M^-1)^T row i = column i of M^-1
                 ay = self.add(
                     level, ay, self.scalar_mul(level, Minv[j][i], pair.ys[j])
                 )
-            xs.append(ax)
             ys.append(ay)
-        return DualBasisPair(tuple(xs), tuple(ys))
+        return DualBasisPair(xs, tuple(ys))
 
     def _random_scalar(self, rng):
         if self.ground.char == 0:
@@ -288,10 +285,8 @@ class FrobeniusBackend:
 
     def random_element(self, level, rng):
         level = self.level_index(level)
-        acc = self.zero(level)
-        for b in self.basis(level):
-            acc = self.add(level, acc, self.scalar_mul(level, self._random_scalar(rng), b))
-        return acc
+        return self._from_coordinates(
+            level, [self._random_scalar(rng) for _ in range(self.dim(level))])
 
     def validate_automorphism(self, sigma: Automorphism) -> None:
         """Ring automorphism + trace compatibility, checked exhaustively."""
@@ -390,6 +385,22 @@ class FrobeniusBackend:
         # a ground scalar acts through the inclusion ground -> level
         return self.fields[level].mul(self._apply("inclusion", 0, level, c), a)
 
+    def _from_coordinates(self, level: int, coords):
+        """sum_k coords[k] * basis[k], for ground scalars coords: one product
+        with the coordinate matrix of the level."""
+        flat = [c for x in coords for c in self.prime_coeffs(0, x)]
+        out = _mat_vec(self._map("coordinate", 0, level), flat, self.prime_field.char)
+        return self._from_prime_coeffs(level, out)
+
+    def _coordinate_matrix(self, lo: int, level: int) -> tuple:
+        """Column (k, j) is e_j * g^k, e_j the prime basis of the ground (lo
+        is 0) and g the generator of the level; the identity when the
+        ground is the prime field."""
+        units = _identity_matrix(self.prime_field, len(self.prime_coeffs(lo, self.one(lo))))
+        return _transpose([
+            self.prime_coeffs(level, self.scalar_mul(level, self._from_prime_coeffs(lo, e), b))
+            for b in self.basis(level) for e in units])
+
     def _map(self, kind: str, src: int, dst: int) -> tuple:
         """The prime-field matrix of a level map, as a tuple of rows."""
         key = (kind, src, dst)
@@ -475,6 +486,8 @@ class FiniteFieldTower(FrobeniusBackend):
       ("trace", hi, lo)      column k is sum_{s<r} (g_hi^k)^(q_lo^s), r the
                              degree of hi over lo, pulled back to level lo.
       ("frobenius", i, e)    column k is (g_i^k)^(q0^e).
+      ("coordinate", 0, i)   column (k, j) is e_j g_i^k, e_j the prime
+                             basis of the ground.
 
     The level layer of FrobeniusBackend applies them mod p; a trace matrix
     is built by pulling the Frobenius sums back through _pull_back.
@@ -795,6 +808,10 @@ class TableAlgebra(FrobeniusBackend):
         dom = self.ground
         c = dom.of(c)
         return tuple(dom.mul(c, x) for x in a)
+
+    def _from_coordinates(self, level: int, coords):
+        # the basis is the unit vectors, so an element is its coordinates
+        return tuple(coords)
 
     def trace_to_ground(self, level: int, a):
         dom = self.ground

@@ -331,23 +331,52 @@ def test_mf_hessian_negative_trials_exit_2(capsys):
 
 
 @pytest.mark.parametrize("argv, option", [
-    (["sylvester", "--mode", "grid"], "--mode"),
-    (["sylvester", "--f", "s1"], "--f"),
-    (["exchange", "--p", "1"], "--p"),
-    (["exchange", "--f", "s1"], "--f"),
-    (["chenlouck", "--q", "0"], "--q"),
-    (["chenlouck", "--p", "0", "--q", "0"], "--p"),
-    (["dksv", "--f", "s1+s2"], "--f"),
-    (["dksv", "--q", "1"], "--q"),
+    (["verify", "sylvester", "--mode", "grid"], "--mode"),
+    (["verify", "sylvester", "--f", "s1"], "--f"),
+    (["verify", "exchange", "--p", "1"], "--p"),
+    (["verify", "exchange", "--f", "s1"], "--f"),
+    (["verify", "chenlouck", "--q", "0"], "--q"),
+    (["verify", "chenlouck", "--p", "0", "--q", "0"], "--p"),
+    (["verify", "dksv", "--f", "s1+s2"], "--f"),
+    (["verify", "dksv", "--q", "1"], "--q"),
+    (["verify", "exchange", "--d", "3"], "--d"),
+    (["verify", "exchange", "--size-x", "2"], "--size-x"),
+    (["verify", "exchange", "--size-e", "4"], "--size-e"),
+    (["verify", "sylvester", "--d", "2"], "--d"),
+    (["verify", "sylvester", "--size-x", "0"], "--size-x"),
+    (["verify", "chenlouck", "--n", "3"], "--n"),
+    (["verify", "chenlouck", "--size-e", "2"], "--size-e"),
+    (["mf", "backend", "--f", "x^2-2", "--p", "x"], "--p"),
+    (["mf", "backend", "--f", "x^2-2", "--trials", "3"], "--trials"),
+    (["mf", "trace", "--f", "x^2-2", "--p", "x", "--trials", "3"], "--trials"),
+    (["mf", "hessian", "--f", "x^3-x-1", "--p", "x"], "--p"),
+    (["web", "qmoy", "--p", "5"], "--p"),
+    (["web", "qmoy", "--f", "x^2+1"], "--f"),
+    (["web", "decompose", "--p", "2", "--f", "x^3+x+1", "--N", "4"], "--N"),
+    (["wreath", "d4-table", "-n", "7"], "-n"),
 ])
 def test_verify_option_its_identity_does_not_read_exit_2(argv, option, capsys):
-    assert run(["verify"] + argv) == 2
+    # every subcommand refuses a value of an option its action never reads
+    assert run(argv) == 2
     assert f"does not read {option}" in capsys.readouterr().err
 
 
 def test_verify_sylvester_accepts_the_default_mode(capsys):
     # symbolic is the default, so naming it changes nothing observable
     assert run(["verify", "sylvester", "--m", "1", "--n", "1", "--mode", "symbolic"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "sylvester", "--m", "1", "--n", "1", "--d", "1", "--size-x", "1",
+     "--size-e", "3"],
+    ["verify", "chenlouck", "--m", "1", "--d", "1", "--n", "2"],
+    ["mf", "backend", "--f", "x^2-2", "--trials", "10"],
+    ["web", "qmoy", "--N", "2", "--parts", "1,1", "--p", "2"],
+    ["web", "decompose", "--p", "2", "--f", "x^3+x+1", "--N", "3"],
+    ["wreath", "d4-table", "-n", "2"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_an_unread_option_at_its_default_is_accepted(argv, capsys):
+    assert run(argv) == 0
 
 
 def test_web_decompose_without_f_exit_2(capsys):
@@ -532,6 +561,63 @@ def test_threads_flag_is_gone():
 
 def test_random_mode_is_gone():
     assert run(["verify", "exchange", "--mode", "random"]) == 2
+
+
+# ---------------------------------------------- one parser for every run()
+
+def _run_alone(argv, capsys):
+    """Exit code and stdout of argv on a parser that no other call used."""
+    from foamlib import cli
+
+    cli._parser.cache_clear()
+    return run(argv), capsys.readouterr().out
+
+
+@pytest.mark.parametrize("first, second", [
+    (["verify", "sylvester", "--m", "-1"], ["--json", "verify", "sylvester"]),
+    (["web", "qmoy", "--N", "x"], ["--json", "web", "qmoy"]),
+    (["--json", "--seed", "3", "web", "qmoy", "--N", "4", "--parts", "1,1,2"],
+     ["--json", "web", "qmoy"]),
+    (["--json", "verify", "exchange", "--m", "1", "--n", "1", "--mode", "grid"],
+     ["verify", "exchange", "--m", "1"]),
+    (["--json", "mf", "trace", "--f", "x^2-2", "--p", "x^3", "--char", "3"],
+     ["--json", "mf", "backend", "--f", "x^2-2"]),
+    (["--help"], ["--json", "wreath", "facts", "-n", "1"]),
+    (["verify", "--help"], ["--json", "verify", "exchange", "--m", "1", "--n", "1"]),
+    (["--json", "wreath", "classes", "-n", "3"], ["--seed", "1", "bogus"]),
+], ids=["error-valid", "bad-type-valid", "options-defaults", "mode-defaults",
+        "trace-backend", "help-valid", "subhelp-valid", "valid-error"])
+def test_parser_reuse_leaks_no_state(first, second, capsys):
+    from foamlib import cli
+
+    alone = [_run_alone(first, capsys), _run_alone(second, capsys)]
+    cli._parser.cache_clear()
+    together = []
+    for argv in (first, second):
+        together.append((run(argv), capsys.readouterr().out))
+    assert together == alone
+
+
+def test_build_parser_runs_once_over_many_runs(monkeypatch, capsys):
+    from foamlib import cli
+
+    build_parser = cli.build_parser
+    builds = []
+
+    def counted():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    for n in range(1, 4):
+        assert run(["--json", "wreath", "classes", "-n", str(n)]) == 0
+        assert run(["web", "qmoy", "--N", str(n), "--parts", str(n)]) == 0
+        assert run(["verify", "exchange", "--d", str(n + 1)]) == 2
+    assert run(["--help"]) == 0
+    assert len(builds) == 1
+    # build_parser itself still returns a new parser on every call
+    assert build_parser() is not build_parser()
 
 
 def test_readme_commands_parse():

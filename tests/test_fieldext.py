@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from foamlib.exactalg import UniPoly, parse_unipoly
 from foamlib.exactalg.ffield import roots_in_extension
+from foamlib.exactalg.linalg import mat_inverse
 from foamlib.exactalg.scalars import QQ_DOMAIN, zmod
 from foamlib.exactalg.unipoly import companion_trace
 from foamlib.fieldext import (
@@ -14,6 +15,7 @@ from foamlib.fieldext import (
     FiniteFieldTower,
     RationalNumberField,
     TableAlgebra,
+    _identity_matrix,
     make_backend,
     nilpotent_square_algebra,
     scaling_automorphism,
@@ -281,6 +283,59 @@ def test_dual_basis_one_dimensional():
     alg = TableAlgebra(("u",), [[[1]]], trace=[Fraction(5)], unit=[1])
     pair = alg.dual_bases(0)
     assert pair.ys[0] == (Fraction(1, 5),)
+
+
+# ---------------------------------------- elements from their coordinates
+
+COORDINATE_BACKENDS = {
+    "GF(3)<GF(9)<GF(81)": FiniteFieldTower(3, [1, 2, 4]),
+    "GF(4)<GF(16)<GF(256)": FiniteFieldTower(2, [2, 4, 8]),
+    "Q(sqrt2)": make_backend({"kind": "numberfield", "f": "x^2-2"}),
+    "cyclic cubic": make_backend({"kind": "numberfield", "f": "x^3-3*x+1"}),
+    "k[a,b]/(a^2,b^2)": nilpotent_square_algebra(),
+    "k[a,b]/(a^2,b^2) over GF(5)": nilpotent_square_algebra(zmod(5)),
+}
+
+
+def _coordinate_sum(be, level, coords):
+    """sum_k include(c_k) * g^k, one field product and one addition a term:
+    the reference for the coordinate matrix."""
+    acc = be.zero(level)
+    for c, b in zip(coords, be.basis(level)):
+        acc = be.add(level, acc, be.scalar_mul(level, c, b))
+    return acc
+
+
+@pytest.mark.parametrize("name", sorted(COORDINATE_BACKENDS))
+def test_random_element_is_the_coordinate_sum_on_the_same_draws(name):
+    be = COORDINATE_BACKENDS[name]
+    for level in range(be.num_levels):
+        rng, ref_rng = random.Random(26), random.Random(26)
+        for _ in range(10):
+            coords = [be._random_scalar(ref_rng) for _ in range(be.dim(level))]
+            # repr: the same values of the same types, not just equal ones
+            assert repr(be.random_element(level, rng)) == repr(
+                _coordinate_sum(be, level, coords))
+            assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("name", sorted(COORDINATE_BACKENDS))
+def test_dual_bases_are_the_coordinate_sums(name):
+    be = COORDINATE_BACKENDS[name]
+    for level in range(be.num_levels):
+        inv = mat_inverse(be.ground, be.gram_matrix(level))
+        pair = be._compute_dual_bases(level)
+        assert repr(pair.ys) == repr(
+            tuple(_coordinate_sum(be, level, row) for row in inv))
+
+
+def test_coordinate_matrix_is_the_identity_over_a_prime_ground():
+    for be in (FiniteFieldTower(3, [1, 2, 4]), COORDINATE_BACKENDS["cyclic cubic"]):
+        for level in range(be.num_levels):
+            n = len(be.prime_coeffs(level, be.one(level)))
+            assert be._map("coordinate", 0, level) == _identity_matrix(be.prime_field, n)
+    tower = COORDINATE_BACKENDS["GF(4)<GF(16)<GF(256)"]
+    assert tower._map("coordinate", 0, 1) != _identity_matrix(tower.prime_field, 4)
 
 
 # -------------------------------------------------------------- automorphisms
