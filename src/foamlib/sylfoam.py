@@ -32,10 +32,14 @@ symmetry is validated on adjacent transpositions.
 
 Identity verifiers compare two closed sides in two modes: "symbolic"
 compares `CosetSum.symbolic` (a proof); "grid" evaluates the terms of
-both sides exactly at the D + 1 points of one integer line, D being the
-cleared degree of their difference (`grid_assignments`,
-`cleared_degree`), which proves the identity on that line only:
-evidence, not a proof.
+both sides exactly at the D + 1 points of one integer line
+(`grid_assignments`), which proves the identity on that line only:
+evidence, not a proof.  D is the larger of the sides' own degree bounds
+(`CosetSum.certified_degree`, read off the base that `symbolic`'s
+certificate shows block-symmetric; a plain polynomial side's degree), at
+least 0; if a side fails the certificate, D is the degree of the
+difference cleared by the Vandermonde product (`cleared_degree`), as it
+stays for overlap terms (`overlap_matches_polynomial`).
 """
 
 from __future__ import annotations
@@ -129,6 +133,10 @@ def cleared_degree(terms: Sequence[Term], delta_alphabets: Sequence[Sequence[str
     A term times V is a polynomial of degree deg V + len(lin) +
     sum(deg polys) - len(den) when its denominator factors are distinct
     factors of V, which is checked.  The bound is the largest of these.
+    Grid mode checks every denominator here, and runs its line at this
+    degree only for overlap terms and for a side that fails the symmetry
+    certificate; certified coset sums need no more than their own
+    degree (`CosetSum.certified_degree`).
     """
     which = {}  # each factor of V, in either orientation, to one number
     for vs in delta_alphabets:
@@ -321,6 +329,39 @@ class CosetSum:
 
     __call__ = terms
 
+    def _bad_swap(self, lin: list, dots: list):
+        """The certificate that the base term is symmetric in each block of
+        a split with two or more nonempty blocks: the first adjacent
+        transposition in such a block that changes the multiset of linear
+        factors `lin` or a dot of `dots` (`subs_vars` of the swap), or None."""
+        swaps = [(u, v) for block in self._moved for u, v in zip(block, block[1:])]
+        if not swaps:
+            return None
+        factors = Counter(lin)
+        for u, v in swaps:
+            swap = {u: v, v: u}
+            if (Counter((swap.get(y, y), swap.get(z, z)) for y, z in lin) != factors
+                    or any(dot.subs_vars(swap) != dot for dot in dots)):
+                return u, v
+        return None
+
+    def certified_degree(self) -> int | None:
+        """A total degree bound of the sum, or None if the base fails the
+        block-symmetry certificate of `symbolic`.
+
+        A certified sum is d_w of the base's numerator for each split
+        (`symbolic`), and d_w lowers the degree by the length of w,
+        sum_{i<j} k_i k_j for block sizes k_1..k_r; so the bound is
+        len(lin) + the dot degrees - that length over the splits, the same
+        for every coset.  A negative bound means the sum is zero.
+        """
+        lin, dots = self._factors(self._base)
+        if self._bad_swap(lin, dots) is not None:
+            return None
+        return (len(lin) + sum(dot.total_degree() for dot in dots)
+                - sum((len(vs) ** 2 - sum(k * k for k in sizes)) // 2
+                      for vs, sizes in self.splits))
+
     def symbolic(self) -> MultiPoly:
         """The sum, as nested chains of divided differences of the base.
 
@@ -336,11 +377,13 @@ class CosetSum:
         A chain needs its input symmetric in both its blocks.  Its last
         block is a block of the split, where the base's symmetry is
         certified by adjacent transpositions, on the factor multiset and on
-        each dot by `subs_vars` of the swap (FoamValueError otherwise).
-        Its first block is the alphabet of the chain before it, whose
-        output is symmetric there by construction, so those swaps are
-        skipped; the first chain certifies both.  A split with one
-        nonempty block is one coset and needs no certificate.
+        each dot by `subs_vars` of the swap (`_bad_swap`; FoamValueError
+        otherwise).  Its first block is the alphabet of the chain before
+        it, whose output is symmetric there by construction, so those
+        swaps are skipped; the first chain certifies both.  A split with
+        one nonempty block is one coset and needs no certificate.  Grid
+        mode reads the same certificate, through `certified_degree`, to
+        check a side on only as many points as its own degree needs.
 
         Each step is one pass of the monomial formula in v_j and v_(j+1)
         only (`_dense_divided_difference`), so nothing swells.  g - s_j g
@@ -351,13 +394,8 @@ class CosetSum:
         v_(j+1) as a constant); the rest are multiplied in last.
         """
         lin, dots = self._factors(self._base)
-        swaps = [(u, v) for block in self._moved for u, v in zip(block, block[1:])]
-        factors = Counter(lin) if swaps else None
-        for u, v in swaps:
-            swap = {u: v, v: u}
-            if (Counter((swap.get(y, y), swap.get(z, z)) for y, z in lin) != factors
-                    or any(dot.subs_vars(swap) != dot for dot in dots)):
-                raise FoamValueError(f"the base term is not symmetric in {u} and {v}")
+        if (bad := self._bad_swap(lin, dots)) is not None:
+            raise FoamValueError("the base term is not symmetric in %s and %s" % bad)
         # every name of a block or dot is in a split alphabet, and the total
         # degree never exceeds that of the base
         layout = packed_layout(set().union(*self.alphabets, *self._fixed),
@@ -670,12 +708,15 @@ def dksv_sides(A: VarAlphabet, B: VarAlphabet, X: VarAlphabet, E: VarAlphabet,
 def grid_assignments(variables: Sequence[str], degree: int):
     """Integer points t = 0..degree on the line v_i = 1 + i*(degree+2) + i^2*t.
 
-    `degree` is the cleared total degree D of the identity being checked:
-    along the line the difference of the sides times the Vandermonde
-    product is a univariate polynomial of degree at most D, so the D + 1
-    points prove that it vanishes on the whole line (not everywhere).
-    Since v_i - v_j = (i-j)(D+2+(i+j)t), no two variables ever meet and
-    the differences vary from point to point.
+    `degree` is a total degree bound D of the difference of the sides:
+    the larger of their `CosetSum.certified_degree`s (a plain polynomial
+    side its own degree, and at least 0), or, if a side fails that
+    certificate, the cleared degree (`cleared_degree`) of the difference
+    times the Vandermonde product.  Along the line that is a univariate
+    polynomial of degree at most D, so the D + 1 points prove that it
+    vanishes on the whole line (not everywhere).  Since
+    v_i - v_j = (i-j)(D+2+(i+j)t), no two variables ever meet and the
+    differences vary from point to point.
     """
     vs = list(variables)
     step = degree + 2
@@ -683,12 +724,16 @@ def grid_assignments(variables: Sequence[str], degree: int):
         yield {v: 1 + i * step + i * i * t for i, v in enumerate(vs)}
 
 
-def _grid_agrees(lhs: Iterable[Term], rhs: Iterable[Term], delta_alphabets) -> bool:
-    """Two term sums agree on the grid line over the terms' variables."""
+def _grid_agrees(lhs: Iterable[Term], rhs: Iterable[Term], delta_alphabets,
+                 degree: int | None = None) -> bool:
+    """Two term sums agree on the grid line over the terms' variables, at
+    `degree` + 1 points (by default the cleared degree's; the denominators
+    are checked against V either way)."""
     lhs, rhs = list(lhs), list(rhs)
     terms = lhs + rhs
+    cleared = cleared_degree(terms, delta_alphabets)
     points = grid_assignments(_collect_variables(terms, delta_alphabets),
-                              cleared_degree(terms, delta_alphabets))
+                              cleared if degree is None else degree)
     return all(evaluate_terms_at(lhs, pt) == evaluate_terms_at(rhs, pt)
                for pt in points)
 
@@ -699,9 +744,15 @@ def _check_identity(lhs, rhs: CosetSum, mode: str) -> bool:
         return (lhs if isinstance(lhs, MultiPoly) else lhs.symbolic()) == rhs.symbolic()
     if mode != "grid":
         raise FoamValueError(f"unknown mode {mode!r}")
+    # both sides polynomials of certified degree: the line needs only that many
+    # points (and one at least); otherwise the cleared degree's
+    lhs_degree = lhs.total_degree() if isinstance(lhs, MultiPoly) else lhs.certified_degree()
+    rhs_degree = rhs.certified_degree()
+    degree = (None if lhs_degree is None or rhs_degree is None
+              else max(0, lhs_degree, rhs_degree))
     if isinstance(lhs, MultiPoly):
-        return _grid_agrees([Term((lhs,), (), ())], rhs.terms(), rhs.alphabets)
-    return _grid_agrees(lhs.terms(), rhs.terms(), lhs.alphabets + rhs.alphabets)
+        return _grid_agrees([Term((lhs,), (), ())], rhs.terms(), rhs.alphabets, degree)
+    return _grid_agrees(lhs.terms(), rhs.terms(), lhs.alphabets + rhs.alphabets, degree)
 
 
 def verify_exchange(m: int, n: int, mode: str = "symbolic") -> list:

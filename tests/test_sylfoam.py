@@ -898,6 +898,77 @@ def test_symbolic_and_grid_agree():
         verify_chen_louck(3, 1, mode="grid")["ok"]
 
 
+def _dksv_sizes(top):
+    """Every valid (m, n, d, |X|, |E|) with |E| <= top."""
+    return [(m, n, d, sx, se) for se in range(top + 1) for m in range(se + 1)
+            for n in range(se + 1) for d in range(m + 1) for sx in range(se + 1)
+            if se >= max(sx + d, m + n - d, m)]
+
+
+def test_grid_at_the_certified_degree_agrees_with_symbolic():
+    from foamlib.sylfoam import _check_identity
+
+    verdicts = set()
+    for m in range(5):
+        for n in range(5):
+            A, B = alphabet("A", m), alphabet("B", n)
+            for d in range(min(m, n) + 1):
+                # one X too many is refuted at some sizes (symbolic is slow
+                # there past m + n = 6)
+                for size_x in range(m + n - 2 * d, m + n - 2 * d + 1 + (m + n <= 6)):
+                    sides = exchange_sides_terms(A, B, alphabet("X", size_x), d)
+                    assert all(side.certified_degree() is not None for side in sides)
+                    verdict = _check_identity(*sides, "symbolic")
+                    assert _check_identity(*sides, "grid") == verdict, (m, n, d, size_x)
+                    verdicts.add(verdict)
+    assert verdicts == {True, False}
+    sizes = _dksv_sizes(4)
+    assert len(sizes) > 100
+    for m, n, d, sx, se in sizes:
+        assert verify_dksv(m, n, d, sx, se, "grid") == \
+            verify_dksv(m, n, d, sx, se, "symbolic")
+    for m in range(5):
+        for d in range(m + 1):
+            k = m - d
+            fs = [MultiPoly.one()] + [None] * (d > 0)  # e_k has degree 1 in each
+            if k and d >= 2:  # degree 2 in each variable
+                fs.append(esym(slots(k), k) * esym(slots(k), 1))
+            for f in fs:
+                assert verify_chen_louck(m, d, f, "grid") == \
+                    verify_chen_louck(m, d, f, "symbolic"), (m, d, f)
+
+
+def test_grid_at_the_certified_degree_refutes_mutated_terms():
+    # the first left term dropped, or its first lin or den factor reversed
+    from dataclasses import replace
+
+    from foamlib.sylfoam import _grid_agrees
+
+    def flip(factors):
+        (u, v), *rest = factors
+        return ((v, u), *rest)
+
+    mutants = 0
+    for m in range(6):
+        for n in range(6):
+            A, B = alphabet("A", m), alphabet("B", n)
+            for d in range(min(m, n) + 1):
+                lhs, rhs = exchange_sides_terms(A, B, alphabet("X", m + n - 2 * d), d)
+                degree = max(0, lhs.certified_degree(), rhs.certified_degree())
+                first, *rest = lhs.terms()
+                variants = [rest]
+                if first.lin:
+                    variants.append([replace(first, lin=flip(first.lin))] + rest)
+                if first.den:
+                    variants.append([replace(first, den=flip(first.den))] + rest)
+                for terms in variants:
+                    mutants += 1
+                    assert not _grid_agrees(terms, rhs.terms(),
+                                            lhs.alphabets + rhs.alphabets, degree), \
+                        (m, n, d, terms)
+    assert mutants == 206
+
+
 # ------------------------------------------------------------ grid mode
 
 def test_grid_refutes_identity_that_agrees_at_base_point():
@@ -934,26 +1005,78 @@ def _grid_point_counts(monkeypatch):
     return counts
 
 
-def test_grid_point_count_is_cleared_degree_plus_one(monkeypatch):
+def test_grid_point_count_is_certified_degree_plus_one(monkeypatch):
     from foamlib.sylfoam import cleared_degree
 
     counts = _grid_point_counts(monkeypatch)
-    # Exchange m = n = 3: deg V(A)V(B) = 6, terms of degree mn - d^2
+    # Exchange m = n = 3: both sides of degree mn - d^2 (the cleared degree
+    # adds deg V(A)V(B) = 6)
     assert all(e["ok"] for e in verify_exchange(3, 3, "grid"))
-    assert counts == [6 + 9 - d * d + 1 for d in range(4)]
-    # DKSV m = n = 2, d = 1, |X| = 1, |E| = 4: deg V(A)V(E) = 7, terms of degree 2
+    assert counts == [10, 9, 6, 1]
+    # DKSV m = n = 2, d = 1, |X| = 1, |E| = 4: both sides of degree 2
+    # (cleared: deg V(A)V(E) = 7 more)
     A, B, X, E = (alphabet("A", 2), alphabet("B", 2), alphabet("X", 1),
                   alphabet("E", 4))
     lt, rt = dksv_sides(A, B, X, E, 1)
     deltas = [A.variables, E.variables]
     assert cleared_degree(list(lt()) + list(rt()), deltas) == 9
+    assert (lt.certified_degree(), rt.certified_degree()) == (2, 2)
     counts.clear()
     assert verify_dksv(2, 2, 1, 1, 4, "grid")["ok"]
-    assert counts == [10]
-    # Chen-Louck m = 5, d = 2: deg V(A) = 10, e_3 of degree 3 on both sides
+    assert counts == [3]
+    # Chen-Louck m = 5, d = 2: e_3 of degree 3 on both sides (cleared:
+    # deg V(A) = 10 more)
     counts.clear()
     assert verify_chen_louck(5, 2, mode="grid")["ok"]
-    assert counts == [14]
+    assert counts == [4]
+
+
+def test_grid_keeps_the_cleared_count_without_a_certificate(monkeypatch):
+    from foamlib import sylfoam
+    from foamlib.sylfoam import (CosetSum, Term, _check_identity, cleared_degree,
+                                 overlap_matches_polynomial, overlap_terms)
+
+    counts = _grid_point_counts(monkeypatch)
+    # overlap terms are no coset sum: the independent route stays V-cleared
+    A, B = alphabet("A", 3), alphabet("B", 2)
+    diagram = diagram_sylvester(A, B, 1, 1)
+    side = sylvester_side(A, B, 1, 1)
+    assert overlap_matches_polynomial(diagram, side)
+    cleared = cleared_degree(list(overlap_terms(diagram)) + list(side()),
+                             [A.variables, B.variables])
+    assert counts == [cleared + 1] and cleared > side.certified_degree()
+    # a base whose dot s1 - s2 is not symmetric in its block
+    X = alphabet("X", 2)
+    side = CosetSum(((X.variables, (0, 1)),), ((parse_poly("s1 - s2"), (0, 0)),),
+                    ((A.variables, (2, 1)),))
+    assert side.certified_degree() is None
+    # the sum is no polynomial, so the line stops at its first point: read
+    # the degree it was given
+    degrees = []
+    inner = sylfoam.grid_assignments
+    monkeypatch.setattr(sylfoam, "grid_assignments",
+                        lambda vs, degree: degrees.append(degree) or inner(vs, degree))
+    zero = MultiPoly.zero()
+    assert not _check_identity(zero, side, "grid")
+    assert degrees == [cleared_degree([Term((zero,), (), ())] + list(side()),
+                                      [A.variables])] == [4]
+    with pytest.raises(FoamValueError, match="not symmetric in a1 and a2"):
+        side.symbolic()
+
+
+def test_a_side_of_negative_certified_degree_is_checked_at_one_point(monkeypatch):
+    # 1/(a1 - a2) + 1/(a2 - a1): no swap to certify, degree 0 - 1 = -1
+    from foamlib.sylfoam import CosetSum, _check_identity
+
+    side = CosetSum((), (), ((("a1", "a2"), (1, 1)),))
+    assert side.certified_degree() == -1
+    assert side.symbolic() == MultiPoly.zero()
+    counts = _grid_point_counts(monkeypatch)
+    assert _check_identity(side, side, "grid")
+    assert counts == [1]
+    assert _check_identity(MultiPoly.zero(), side, "grid")
+    assert not _check_identity(MultiPoly.one(), side, "grid")
+    assert counts == [1, 1, 1]
 
 
 def test_cleared_degree_rejects_foreign_denominator():
