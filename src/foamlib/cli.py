@@ -22,6 +22,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _str
 
 from .exactalg.multipoly import parse_poly, parse_unipoly
 from .exactalg.scalars import QQ_DOMAIN, zmod
@@ -47,16 +48,22 @@ class RunReport:
         return all(a["status"] == "PASS" for a in self.assertions)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "subcommand": self.subcommand,
-                "input_digest": self.input_digest,
-                "seed": self.seed,
-                "assertions": self.assertions,
-                "ok": self.ok,
-            },
-            indent=2,
-            sort_keys=True,
+        """json.dumps(..., indent=2, sort_keys=True) of the report, written
+        directly for its fixed schema: json.dumps with an indent runs the
+        pure-Python encoder.  Every name and value is a str."""
+        items = [
+            f'    {{\n      "name": {_str(a["name"])},\n'
+            f'      "status": {_str(a["status"])},\n'
+            f'      "value": {_str(a["value"])}\n    }}'
+            for a in self.assertions
+        ]
+        assertions = "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+        return (
+            f'{{\n  "assertions": {assertions},\n'
+            f'  "input_digest": {_str(self.input_digest)},\n'
+            f'  "ok": {"true" if self.ok else "false"},\n'
+            f'  "seed": {self.seed:d},\n'
+            f'  "subcommand": {_str(self.subcommand)}\n}}'
         )
 
     def print_text(self):

@@ -3,10 +3,14 @@
 Two computations about the circle-of-thickness webs indexed by a
 composition (a_1, ..., a_k) of N:
 
-  q_multinomial        the balanced q-multinomial [N; a_1..a_k], a Laurent
-                       polynomial in q with nonnegative integer
-                       coefficients, palindromic under q <-> 1/q, whose
-                       value at q = 1 is the ordinary multinomial;
+  q_multinomial        the balanced q-multinomial [N; a_1..a_k] =
+                       [N]! / prod [a_i]!, a Laurent polynomial in q with
+                       nonnegative integer coefficients, palindromic under
+                       q <-> 1/q, whose value at q = 1 is the ordinary
+                       multinomial; computed on dense coefficient lists in
+                       q^2, one linear pass per quantum integer multiplied
+                       in or divided out (LaurentQ, q_factorial and
+                       divexact remain, as the definition spelled out);
 
   web_decomposition    after base change along an irreducible separable
                        polynomial f, the web state space is a product of
@@ -26,7 +30,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import sub
 
 from .exactalg.ffield import is_irreducible_ff
 from .exactalg.linalg import mat_inverse
@@ -157,22 +162,49 @@ def q_factorial(m: int) -> LaurentQ:
     return out
 
 
-def q_multinomial(N: int, parts) -> LaurentQ:
-    """Balanced q-multinomial [N; a_1, ..., a_k].
+def _times_qint(c: list, i: int) -> list:
+    """c * (1 + v + ... + v^(i-1)), the coefficient list of a polynomial in
+    v = q^2: every output entry is a window sum of i inputs, read off the
+    prefix sums S as S[k + 1] - S[k + 1 - i]."""
+    S = list(accumulate(c + [0] * (i - 1), initial=0))
+    return S[1:i] + list(map(sub, S[i:], S))
 
-    [N]! over the parts' q-factorials, with the largest part's [a]!
-    cancelled first: the product of [i] for a < i <= N, divided by the
-    other parts' q-factorials.
+
+def _over_qint(c: list, j: int) -> list:
+    """c / (1 + v + ... + v^(j-1)), exactly: c * (1 - v) divided by
+    1 - v^j, whose quotient obeys q[k] = d[k] + q[k - j], so each residue
+    class mod j is one running sum.  ArithmeticError unless the top j
+    entries of those sums, the remainder, vanish."""
+    d = list(map(sub, c + [0], [0] + c))
+    for r in range(j):
+        d[r::j] = accumulate(d[r::j])
+    n = max(len(d) - j, 0)
+    if any(d[n:]):
+        raise ArithmeticError("Laurent division is not exact")
+    return d[:n]
+
+
+def q_multinomial(N: int, parts) -> LaurentQ:
+    """Balanced q-multinomial [N; a_1, ..., a_k] = [N]! / prod [a_i]!.
+
+    Computed on a dense coefficient list in v = q^2, on which the balanced
+    [m] is q^(1-m) (1 + v + ... + v^(m-1)): with the largest part's [a]!
+    cancelled first, each [i] for a < i <= N is multiplied in by one
+    window-sum pass, and each [j], 2 <= j <= b, of every other part b is
+    divided out by one exact pass (_over_qint).  The result is palindromic,
+    so v^e of a degree-D list is q^(2e - D).
     """
     comp = _composition_of(N, parts)
     rest = sorted(comp.parts)
     top = rest.pop() if rest else 0
-    out = LaurentQ.one()
+    c = [1]
     for i in range(top + 1, N + 1):
-        out = out * LaurentQ.quantum_integer(i)
+        c = _times_qint(c, i)
     for a in rest:
-        out = out.divexact(q_factorial(a))
-    return out
+        for j in range(2, a + 1):
+            c = _over_qint(c, j)
+    deg = len(c) - 1
+    return LaurentQ({2 * e - deg: x for e, x in enumerate(c)})
 
 
 def multinomial(N: int, parts) -> int:

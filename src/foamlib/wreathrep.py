@@ -100,25 +100,26 @@ def beta_perm(n: int) -> tuple:
 def index_of(perm) -> int:
     """The wreath-order index of a leaf permutation, split as
     beta^r o (a x b) half by half; ValueError if it is not a tree symmetry."""
-    def halve(p: tuple) -> int:
-        size = len(p)
+    p = tuple(perm)
+
+    def halve(lo: int, size: int, off: int) -> int:
+        """The index of p[lo:lo + size] - off, a block of that many leaves."""
         if size < 2 or size % 2:
-            if p != (0,):
+            if size != 1 or p[lo] != off:
                 raise ValueError(f"{perm} is not a tree symmetry")
             return 0
         h = size // 2
-        first = set(p[:h])
-        if first == set(range(h)):
-            r, a, b = 0, p[:h], tuple(x - h for x in p[h:])
-        elif first == set(range(h, size)):
-            # beta o (a x b) sends the first half by a onto the second
-            r, a, b = 1, tuple(x - h for x in p[:h]), p[h:]
+        # the largest leaf of the first half tells a x b from beta o (a x b);
+        # the leaf test refuses every block that is not a tree symmetry
+        if max(p[lo:lo + h]) < off + h:
+            r, off_a, off_b = 0, off, off + h
         else:
-            raise ValueError(f"{perm} is not a tree symmetry")
+            # beta o (a x b) sends the first half by a onto the second
+            r, off_a, off_b = 1, off + h, off
         M = 1 << (h - 1)  # |G(n-1)| = 2^(2^(n-1) - 1), h = 2^(n-1)
-        return (r * M + halve(a)) * M + halve(b)
+        return (r * M + halve(lo, h, off_a)) * M + halve(lo + h, h, off_b)
 
-    return halve(tuple(perm))
+    return halve(0, len(p), 0)
 
 
 @functools.cache

@@ -702,6 +702,34 @@ def test_readme_commands_json_is_byte_identical(monkeypatch, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == _README_JSON_DIGESTS[line], line
 
 
+def _reports():
+    from foamlib.cli import RunReport
+
+    yield RunReport("suite", "0123456789abcdef", 0)  # no assertions
+    failing = RunReport("verify", "fedcba9876543210", 3)
+    failing.add("first", True, "1")
+    failing.add("second", False)
+    yield failing
+    negative = RunReport("web", "", -17)
+    negative.add("value at q=1", True, "-2")
+    yield negative
+    odd = RunReport('sub "quoted"\\', "\u00e9\n", 2**70)
+    odd.add('say "hi"\\ back\nslash\ttab', True,
+            "caf\u00e9 \u2203 \U0001d53d \x00\x1f \u2028 </script>")
+    odd.add("\u00e9", False, '"\\\n"')
+    yield odd
+
+
+def test_report_json_is_json_dumps_byte_for_byte():
+    for report in _reports():
+        want = json.dumps(
+            {"subcommand": report.subcommand, "input_digest": report.input_digest,
+             "seed": report.seed, "assertions": report.assertions, "ok": report.ok},
+            indent=2, sort_keys=True,
+        )
+        assert report.to_json() == want
+
+
 # sha256 of the --json stdout of the whole-group wreath passes and of
 # `suite full`, taken before the passes were rewritten; `wreath facts -n 3`,
 # `wreath d4-table` and `suite smoke` are pinned with the README commands

@@ -3,6 +3,7 @@ import pytest
 from foamlib.exactalg import parse_unipoly, smallest_irreducible
 from foamlib.exactalg.scalars import QQ_DOMAIN, zmod
 from foamlib.webgal import (
+    _over_qint,
     Composition,
     LaurentQ,
     WebError,
@@ -50,14 +51,25 @@ def test_q_multinomial_palindromic_and_q1():
 
 
 def test_q_multinomial_matches_the_quotient_of_q_factorials():
-    # the definition [N]! / prod [a_i]!, divided out in full
-    for N in range(8):
-        for comp in all_compositions(N):
-            want = q_factorial(N)
-            for a in comp:
-                want = want.divexact(q_factorial(a))
-            assert q_multinomial(N, comp) == want, comp
+    # the definition [N]! / prod [a_i]!, divided out in full by LaurentQ
+    cases = [(N, comp) for N in range(10) for comp in all_compositions(N)]
+    cases += [(20, (7, 6, 7)), (24, (1,) * 24), (30, (10, 10, 10)), (60, (30, 30))]
+    for N, comp in cases:
+        want = q_factorial(N)
+        for a in comp:
+            want = want.divexact(q_factorial(a))
+        assert q_multinomial(N, comp) == want, comp
     assert q_multinomial(200, (200,)) == LaurentQ.one()
+
+
+def test_dividing_by_a_q_integer_is_exact_or_raises():
+    # (1 + v)(1 + v + v^2) divides by [2] and by [3], not by [4]
+    c = [1, 2, 2, 1]
+    assert _over_qint(c, 2) == [1, 1, 1]
+    assert _over_qint(c, 3) == [1, 1]
+    for j, bad in ((2, [1, 2, 2]), (3, [1, 1, 1, 1]), (4, c), (5, c), (2, [1])):
+        with pytest.raises(ArithmeticError):
+            _over_qint(bad, j)
 
 
 def test_bad_composition():

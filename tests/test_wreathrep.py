@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from array import array
@@ -133,10 +134,11 @@ def test_bijection_small_depths():
             assert perms[index_of(p)] == p
 
 
+@functools.cache
 def _from_bits(n):
     """G(n) by the tree recursion, one bit tuple at a time."""
-    return [to_permutation(TreeAutomorphism(n, bits))
-            for bits in itertools.product((0, 1), repeat=2**n - 1)]
+    return tuple(to_permutation(TreeAutomorphism(n, bits))
+                 for bits in itertools.product((0, 1), repeat=2**n - 1))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
@@ -189,6 +191,36 @@ def test_non_member_rejected():
             index_of(bad)
     with pytest.raises(ValueError, match="leaves"):
         GroupAlgElem.of_perm(3, (1, 0, 3, 2))
+
+
+def _index_corpus(groups):
+    """Integer sequences for index_of: every tuple over {-1, ..., L} on
+    L = 1, 2 and 4 leaves, seeded 8-leaf sequences and permutations, every
+    element of G(3) and G(4), and lengths that are no power of two."""
+    for leaves in (1, 2, 4):
+        yield from itertools.product(range(-1, leaves + 1), repeat=leaves)
+    rng = random.Random(47)
+    for _ in range(6000):
+        yield tuple(rng.randrange(-1, 9) for _ in range(8))
+        yield tuple(rng.sample(range(8), 8))
+    yield from groups[8]
+    yield from groups[16]
+    yield from ((), (0, 1, 2), (0,) * 6, (1, 0, 3, 2, 5, 4))
+
+
+def test_index_of_accepts_exactly_the_tree_symmetries():
+    groups = {2**n: set(_from_bits(n)) for n in range(5)}
+    count = 0
+    for p in _index_corpus(groups):
+        count += 1
+        n = len(p).bit_length() - 1
+        if p in groups.get(len(p), ()):
+            assert _elements(n)[index_of(p)] == p
+        else:
+            with pytest.raises(ValueError) as info:
+                index_of(p)
+            assert str(info.value) == f"{p} is not a tree symmetry"
+    assert count == 3 + 4**2 + 6**4 + 12000 + 2**7 + 2**15 + 4
 
 
 # ------------------------------------------------------------- group facts
