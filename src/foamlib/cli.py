@@ -8,8 +8,11 @@ output of two identical invocations is byte-identical.  Exit codes:
 run() may be called any number of times in one process.  It parses with
 one parser, built on the first call and kept, since parsing leaves a
 parser unchanged; every call still parses its argv into a new namespace,
-checks it and runs its handler, and nothing computed is kept between
-calls.  build_parser() returns a new parser each time.
+checks it and runs its handler.  A call reuses what an earlier one
+computed only through the library's own caches; among them, the per-n
+group data of `wreathrep` (the elements, the index tables and the class
+orbits of G(n)) is cached per process.  build_parser() returns a new
+parser each time.
 """
 
 from __future__ import annotations

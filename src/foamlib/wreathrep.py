@@ -36,11 +36,13 @@ over those tables.  The generating set they use is beta on the leftmost
 block of each depth, n involutions for G(n); doubled onto both halves it
 gives the 2(n-1) generators of H.  The tables of G(n) follow from those
 of G(n-1) by the same index arithmetic (the rules are stated above
-`_lift`): each one is a single list comprehension of index sums, stored
-as an array of machine integers.  A conjugation table is one such lift of
-G(n-1)'s conjugation and multiplication tables, not a left table composed
-with a right one.  The multiplication tables are kept only for the levels
-below the one being built, the conjugation tables per n.
+`_lift`): each one is a list of index sums, each entry the shared int
+object of one cached `list(range(|G(n)|))`, so a table costs a pointer an
+entry and a lookup allocates nothing.  A conjugation table is one such
+lift of G(n-1)'s conjugation and multiplication tables, not a left table
+composed with a right one.  The multiplication tables are kept only for
+the levels below the one being built, the conjugation tables and the
+conjugation orbits per n, so one process walks G(n)'s classes once.
 
 What is counted: the center is the set of indices that every conjugation
 table fixes, filtered one table at a time; `class_count` counts the
@@ -59,7 +61,6 @@ from __future__ import annotations
 
 import functools
 import random
-from array import array
 from fractions import Fraction
 
 
@@ -194,12 +195,31 @@ def _inverse(n: int, x: int) -> int:
 # where f i is the index of f o G(n-1)[i] and i f that of G(n-1)[i] o f.
 
 
-def _lift(images) -> array:
-    """The table sending r*M^2 + i*M + j to hi[i] + lo[j], (hi, lo) = images[r]."""
-    return array("l", [a + b for hi, lo in images for a in hi for b in lo])
+@functools.cache
+def _indices(size: int) -> list[int]:
+    """0, ..., size - 1: the int objects every table on G(n) holds, shared."""
+    return list(range(size))
 
 
-def _block(M: int, f, g) -> tuple[array, array]:
+def _lift(images) -> list[int]:
+    """The table sending r*M^2 + i*M + j to hi[i] + lo[j], (hi, lo) = images[r].
+
+    Each entry is fetched from `_indices`, so a table holds one pointer per
+    entry and a lookup allocates nothing; a unit-step range `lo` (an identity
+    lower part) is copied as one slice per row."""
+    ints = _indices(sum(len(hi) * len(lo) for hi, lo in images))
+    table = []
+    for hi, lo in images:
+        if isinstance(lo, range) and lo.step == 1:
+            start, stop = lo.start, lo.stop
+            for a in hi:
+                table += ints[a + start:a + stop]
+        else:
+            table += [ints[a + b] for a in hi for b in lo]
+    return table
+
+
+def _block(M: int, f, g) -> tuple[list[int], list[int]]:
     """Left and right multiplication by f x g on G(n), from the (left, right)
     tables of f and of g on G(n-1)."""
     (fl, fr), (gl, gr) = f, g
@@ -223,13 +243,13 @@ def _generator_tables(n: int):
 
 
 @functools.cache
-def _lower_generator_tables(n: int) -> tuple[tuple[array, array], ...]:
+def _lower_generator_tables(n: int) -> tuple[tuple[list[int], list[int]], ...]:
     """The tables of _generator_tables(n), kept for building level n + 1."""
     return tuple(_generator_tables(n))
 
 
 @functools.cache
-def _conjugation_tables(n: int) -> tuple[array, ...]:
+def _conjugation_tables(n: int) -> tuple[list[int], ...]:
     """Per generator s (an involution): index i -> index of s G(n)[i] s.
 
     beta swaps the factors, (r, i, j) -> (r, j, i); a generator f x 1 of
@@ -248,7 +268,7 @@ def _conjugation_tables(n: int) -> tuple[array, ...]:
     return tuple(tables)
 
 
-def _mackey_tables(n: int) -> list[array]:
+def _mackey_tables(n: int) -> list[list[int]]:
     """Left, then right, multiplication on G(n) by the generators of
     H = G(n-1) x G(n-1): g x 1 and 1 x g for each generator g of G(n-1)."""
     M = _order(n - 1)
@@ -510,12 +530,14 @@ def epm_idempotent_check(n: int) -> dict:
 # Conjugacy classes
 
 
-def _class_orbits(n: int) -> list[list[int]]:
-    """The conjugation orbits of G(n), as index lists, in wreath order."""
+@functools.cache
+def _class_orbits(n: int) -> tuple[tuple[int, ...], ...]:
+    """The conjugation orbits of G(n), as index tuples, in wreath order:
+    walked once per process, kept immutable."""
     if n > 4:
         raise ValueError("full enumeration is desk-scale only (n <= 4)")
     size = _order(n)
-    return _orbits(_conjugation_tables(n), size, range(size))
+    return tuple(map(tuple, _orbits(_conjugation_tables(n), size, range(size))))
 
 
 def conjugacy_classes(n: int) -> list[list[tuple]]:
@@ -528,8 +550,8 @@ def conjugacy_classes(n: int) -> list[list[tuple]]:
 
 def class_count(n: int) -> int:
     """The number of conjugacy classes of G(n): the conjugation orbits of
-    the whole enumerated group, counted as walked; no class is sorted or
-    turned back into permutations."""
+    the whole enumerated group, counted as walked (once per process); no
+    class is sorted or turned back into permutations."""
     return len(_class_orbits(n))
 
 

@@ -1,7 +1,7 @@
 import functools
 import itertools
 import random
-from array import array
+import tracemalloc
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -386,6 +386,75 @@ def test_index_tables_match_composition(n):
                      for half in (0, 2 ** (n - 1))]
 
 
+@pytest.fixture
+def lifted_images(monkeypatch):
+    """Every `images` argument `_lift` is given while the generator,
+    conjugation and Mackey tables of G(1), ..., G(4) are built anew."""
+    from foamlib.wreathrep import (
+        _conjugation_tables,
+        _generator_tables,
+        _lower_generator_tables,
+        _mackey_tables,
+    )
+
+    seen = []
+    real = wreathrep._lift
+
+    def recorded(images):
+        seen.append(images)
+        return real(images)
+
+    caches = (_conjugation_tables, _lower_generator_tables)
+    for cache in caches:
+        cache.cache_clear()
+    monkeypatch.setattr(wreathrep, "_lift", recorded)
+    for n in (1, 2, 3, 4):
+        list(_generator_tables(n))
+        _conjugation_tables(n)
+        _mackey_tables(n)
+    monkeypatch.undo()
+    for cache in caches:
+        cache.cache_clear()
+    return seen
+
+
+def test_lift_slices_and_sums_agree(lifted_images):
+    from foamlib.wreathrep import _indices, _lift
+
+    kinds = set()
+    for images in lifted_images:
+        table = _lift(images)
+        kinds.update(type(lo) for _, lo in images)
+        # the same values as lists take the entry-by-entry path
+        assert table == _lift([(hi, list(lo)) for hi, lo in images])
+        assert table == [a + b for hi, lo in images for a in hi for b in lo]
+        ints = _indices(len(table))
+        assert all(ints[x] is x for x in table)
+    assert kinds == {range, list}
+
+
+def test_mackey_tables_cost_a_pointer_an_entry():
+    from foamlib.wreathrep import (
+        _indices,
+        _lower_generator_tables,
+        _mackey_tables,
+        _order,
+    )
+
+    size = _order(4)
+    _indices(size)  # the shared ints are built once per process, not here
+    _lower_generator_tables(3)
+    tracemalloc.start()
+    try:
+        tables = _mackey_tables(4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    entries = 12 * size
+    assert sum(map(len, tables)) == entries
+    assert peak < 1.5 * 8 * entries
+
+
 # --------------------------------------------------------- index arithmetic
 
 def _pairs(n, count):
@@ -434,23 +503,63 @@ def _one_dot_copies(n):
     return [index_of(copy_of_center_element(n, n - 1, i)) for i in (0, 1)]
 
 
-@pytest.mark.parametrize("entries", ["one-dot copies", "identity and c_n"])
-def test_swapped_beta_conjugation_entries_fail_facts(entries, monkeypatch, capsys):
+def _swap_beta_conjugation_entries(monkeypatch, p, q):
+    """Swap entries p and q of beta's conjugation table of G(3)."""
     real = wreathrep._conjugation_tables
-    p, q = (_one_dot_copies(3) if entries == "one-dot copies"
-            else (0, index_of(center_element(3))))
 
     def swapped(n):
         tables = real(n)
         if n != 3:
             return tables
-        beta = array("l", tables[0])
+        beta = list(tables[0])
         beta[p], beta[q] = beta[q], beta[p]
         return (beta,) + tables[1:]
 
     monkeypatch.setattr(wreathrep, "_conjugation_tables", swapped)
+
+
+@pytest.mark.parametrize("entries", ["one-dot copies", "identity and c_n"])
+def test_swapped_beta_conjugation_entries_fail_facts(entries, monkeypatch, capsys):
+    p, q = (_one_dot_copies(3) if entries == "one-dot copies"
+            else (0, index_of(center_element(3))))
+    _swap_beta_conjugation_entries(monkeypatch, p, q)
     assert run(["wreath", "facts", "-n", "3"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.fixture
+def fresh_class_orbits():
+    """Walk the classes anew, and drop what was walked under a patch."""
+    wreathrep._class_orbits.cache_clear()
+    yield
+    wreathrep._class_orbits.cache_clear()
+
+
+def test_swapped_conjugation_entries_fail_the_class_count(
+        fresh_class_orbits, monkeypatch, capsys):
+    # e and c_3 are classes of one element each; swapped in beta's table,
+    # each is sent to the other and the walk meets one class of two
+    _swap_beta_conjugation_entries(monkeypatch, 0, index_of(center_element(3)))
+    assert run(["wreath", "oor", "-n", "3"]) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
+def test_classes_are_walked_once_per_process(fresh_class_orbits, monkeypatch):
+    walks = []
+    real = wreathrep._orbits
+
+    def counted(tables, size, starts):
+        walks.append(size)
+        return real(tables, size, starts)
+
+    monkeypatch.setattr(wreathrep, "_orbits", counted)
+    first = class_count(4)
+    assert class_count(4) == first == 230
+    assert len(conjugacy_classes(4)) == 230
+    assert walks == [2**15]
+    orbits = wreathrep._class_orbits(4)
+    assert type(orbits) is tuple
+    assert all(type(orbit) is tuple for orbit in orbits)
 
 
 def _product_without_swap(n, x, y):
